@@ -18,6 +18,16 @@ handing results back; all comparisons are exact for integer instances.
 Subtracting the combined bound from a schedule's makespan under each extreme
 scenario yields the relaxed worst-case regret, an upper-bound surrogate for
 the exact worst-case regret that needs no optimal schedules.
+
+The combined bounds of all n extreme scenarios (``scaled_extreme_bounds``)
+come from the sorted all-lower-bounds base without building any scenario
+row: prefix and suffix maxima, binary searches and sparse tables of range
+maxima give them in O(n log n) time and memory. One family of terms, the
+batched bounds of anchors inside a raised range that stay faster than the
+raised job, is evaluated in row blocks of bounded memory over the anchors
+with fewer than ``(m - 1) * max p`` jobs, a handful on generated instances.
+With the O(n + m) extreme makespans of :mod:`.model`, relaxed regret needs
+no n x n array at any size.
 """
 from __future__ import annotations
 
@@ -36,7 +46,6 @@ from .model import (
     ensure_scenario,
     ensure_valid_schedule,
     extreme_makespans,
-    extreme_release_matrix,
     extreme_scenario,
 )
 
@@ -181,11 +190,94 @@ def lb_combined(scenario: Scenario, inst: Instance) -> BoundsReport:
     )
 
 
+# element budget of one row block in scaled_extreme_bounds
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _range_max(values: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per query, the maximum of ``values[first:stop]`` (0 when empty), from
+    a sparse table of maxima over power-of-two windows."""
+    size = values.size
+    table = np.zeros((size.bit_length(), size), dtype=np.int64)
+    table[0] = values
+    for level in range(1, table.shape[0]):
+        width = 1 << (level - 1)
+        np.maximum(table[level - 1, :-width], table[level - 1, width:],
+                   out=table[level, : size - width])
+    length = stop - first
+    level = np.frexp(np.maximum(length, 1))[1] - 1  # floor(log2(length))
+    left = np.minimum(first, size - 1)
+    right = np.maximum(stop - (1 << level), 0)
+    best = np.maximum(table[level, left], table[level, right])
+    return np.where(length > 0, best, 0)
+
+
 def scaled_extreme_bounds(inst: Instance) -> np.ndarray:
-    """Combined bound (scaled by m) under each extreme scenario, by raised job."""
-    rows = extreme_release_matrix(inst)
-    proc = np.tile(inst.min_proc, (inst.n, 1))
-    return scaled_combined_rows(rows, proc, inst.m)
+    """Combined bound (scaled by m) under each extreme scenario, by raised job.
+
+    The scenarios share the all-lower-bounds base, so no scenario row is
+    built. The base is reduced to its distinct release values (anchors),
+    descending, each with the count ``C``, sum ``P`` and minimum ``M`` of
+    the fastest processing times released at the anchor or later. Raising
+    job j from ``lo_j`` to ``hi_j`` adds j to the suffixes of the anchors in
+    ``(lo_j, hi_j]``, adds the anchor ``hi_j`` and leaves every other anchor's
+    terms unchanged. ``lo_j`` may stop being a release value of the
+    scenario; its term is then below the term of the next value above it,
+    which has the same suffix, so keeping it changes no maximum.
+    """
+    m = inst.m
+    lo, hi, mp = inst.release_lo, inst.release_hi, inst.min_proc
+    order = np.argsort(-lo, kind="stable")
+    lo_desc = lo[order]
+    ends = np.flatnonzero(np.append(lo_desc[1:] != lo_desc[:-1], True))
+    u = lo_desc[ends]
+    count = ends + 1
+    total = np.cumsum(mp[order])[ends]
+    least = np.minimum.accumulate(mp[order])[ends]
+
+    # anchors outside (lo_j, hi_j]: a prefix above hi_j, a suffix from lo_j
+    averaged = m * u + total
+    base = np.maximum(averaged, m * (u + (count + m - 1) // m * least))
+    above = np.concatenate(([0], np.maximum.accumulate(base)))
+    below = np.maximum.accumulate(base[::-1])[::-1]
+    first = np.searchsorted(-u, -hi, side="left")  # anchors above hi_j
+    stop = np.searchsorted(-u, -lo, side="left")  # anchors above lo_j
+    best = np.maximum(above[first], below[stop])
+
+    # the anchor hi_j: the base suffix of hi_j plus job j when it was raised
+    k = np.searchsorted(-u, -hi, side="right")
+    raised = hi > lo
+    c = np.concatenate(([0], count))[k] + raised
+    s = np.concatenate(([0], total))[k] + np.where(raised, mp, 0)
+    low = np.minimum(np.concatenate(([mp.max()], least))[k], mp)
+    np.maximum(best, m * hi + s, out=best)
+    np.maximum(best, m * (hi + (c + m - 1) // m * low), out=best)
+
+    # lb1: j's own term with lo_j is below the one with hi_j, so keep it
+    np.maximum(best, m * np.maximum((lo + mp).max(), hi + mp), out=best)
+
+    # anchors inside (lo_j, hi_j], which gain job j: the averaged terms and,
+    # from the first anchor whose minimum is at most mp_j on, the batched ones
+    grown = (count + m) // m  # batches of C + 1 jobs
+    np.maximum(best, _range_max(averaged, first, stop) + mp, out=best)
+    split = np.clip(np.searchsorted(-least, -mp, side="left"), first, stop)
+    np.maximum(best, _range_max(m * (u + grown * least), split, stop), out=best)
+
+    # before the split the batched term is m * (u + grown * mp_j). It can
+    # only beat the averaged term of the same anchor, m * u + P + mp_j with
+    # P >= C * (mp_j + 1), while C < (m - 1) * mp_j: a short prefix of the
+    # anchors, evaluated in row blocks.
+    width = int(np.searchsorted(count, (m - 1) * int(mp.max()), side="left"))
+    rows = np.flatnonzero((split > first) & (first < width))
+    cols = np.arange(width)
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    for begin in range(0, rows.size, step):
+        j = rows[begin:begin + step]
+        least_with_j = np.minimum(least[:width], mp[j, None])
+        batched = m * (u[:width] + grown[:width] * least_with_j)
+        inside = (cols >= first[j, None]) & (cols < split[j, None])
+        best[j] = np.maximum(best[j], np.where(inside, batched, 0).max(axis=1))
+    return best
 
 
 def relaxed_regret(

@@ -34,7 +34,6 @@ from .model import Instance, Schedule
 
 _ALGORITHMS = ("pm", "pr", "pre")
 _BOUND_MODES = ("full", "short")
-_TIE_BREAKS = ("lowest-index",)
 
 
 @dataclass(frozen=True)
@@ -45,26 +44,19 @@ class HeuristicConfig:
     obtained: ``"full"`` precomputes them once per extreme scenario over all
     jobs, ``"short"`` recomputes them each iteration over the already placed
     jobs plus the candidate only. ``pm`` uses no bounds, so it only accepts
-    the default. All algorithms are deterministic; ``seedless`` records that
-    no RNG is involved.
+    the default. All algorithms are deterministic and take no seed.
     """
 
     algorithm: str = "pm"
     bound_mode: str = "full"
-    tie_break: str = "lowest-index"
-    seedless: bool = True
 
     def __post_init__(self) -> None:
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.bound_mode not in _BOUND_MODES:
             raise ValueError(f"unknown bound mode {self.bound_mode!r}")
-        if self.tie_break not in _TIE_BREAKS:
-            raise ValueError(f"unknown tie-break rule {self.tie_break!r}")
         if self.algorithm == "pm" and self.bound_mode != "full":
             raise ValueError("bound_mode applies to pr/pre only")
-        if not self.seedless:
-            raise ValueError("the constructive algorithms take no seed")
 
 
 class BuildState:
@@ -77,10 +69,8 @@ class BuildState:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.u = 1
         self.remaining: set[int] = set(range(inst.n))
         self.machines: list[list[int]] = [[] for _ in range(inst.m)]
-        self.per_machine_len: list[int] = [0] * inst.m
         self.placed_order: list[int] = []
         # Column t < n: completion under the extreme scenario raising job t;
         # column n: completion under the all-lower-bounds scenario.
@@ -104,10 +94,8 @@ class BuildState:
         np.maximum(row, release, out=row)
         row += self.inst.p_array[machine, job]
         self.machines[machine].append(job)
-        self.per_machine_len[machine] += 1
         self.placed_order.append(job)
         self.remaining.discard(job)
-        self.u += 1
 
     def to_schedule(self) -> Schedule:
         return Schedule(machines=tuple(tuple(seq) for seq in self.machines))

@@ -37,6 +37,15 @@ def _number(value: Any) -> int | float:
     return value
 
 
+def _ints(values) -> tuple:
+    """The entries of a JSON integer array. JSON booleans are refused: Python
+    treats ``True`` as the integer 1, a document does not."""
+    values = tuple(values)
+    if any(isinstance(v, bool) for v in values):
+        raise ValueError("expected integers, found a boolean")
+    return values
+
+
 def instance_to_dict(inst: Instance) -> dict:
     return {
         "m": inst.m,
@@ -49,12 +58,13 @@ def instance_to_dict(inst: Instance) -> dict:
 def instance_from_dict(data: dict) -> Instance:
     try:
         inst = Instance(
-            p=tuple(tuple(row) for row in data["p"]),
-            release=tuple((lo, hi) for lo, hi in data["release"]),
+            p=tuple(_ints(row) for row in data["p"]),
+            release=tuple(_ints((lo, hi)) for lo, hi in data["release"]),
         )
+        m, n = _ints((data.get("m"), data.get("n")))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad instance document: {exc}") from exc
-    if inst.m != data.get("m") or inst.n != data.get("n"):
+    if (inst.m, inst.n) != (m, n):
         raise FormatError("instance document m/n fields disagree with the arrays")
     return inst
 
@@ -65,7 +75,7 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 def schedule_from_dict(data: dict) -> Schedule:
     try:
-        return Schedule(machines=tuple(tuple(seq) for seq in data["machines"]))
+        return Schedule(machines=tuple(_ints(seq) for seq in data["machines"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad schedule document: {exc}") from exc
 
@@ -76,7 +86,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        return Scenario(r=tuple(data["r"]))
+        return Scenario(r=_ints(data["r"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad scenario document: {exc}") from exc
 

@@ -38,7 +38,7 @@ class InfeasibleScenarioError(ValueError):
 
 
 def _int_tuple(values: Iterable) -> tuple[int, ...]:
-    return tuple(as_int(v) for v in values)
+    return tuple(map(as_int, values))
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,11 @@ class Instance:
     processing time of job ``j`` on machine ``i``); all entries are positive
     integers. ``release`` holds one ``(lo, hi)`` pair per job with
     ``0 <= lo <= hi``; ``lo == hi`` encodes a deterministic release date.
+
+    The kernels work in int64 on values scaled by the machine count, and no
+    completion time exceeds the largest upper release plus every job's
+    slowest processing time. Instances where ``m`` times that could reach
+    ``2**62`` are refused, so that no kernel wraps silently.
     """
 
     p: tuple[tuple[int, ...], ...]
@@ -77,6 +82,13 @@ class Instance:
                 raise ValueError(
                     f"release interval of job {j + 1} must satisfy 0 <= lo <= hi"
                 )
+        horizon = max(hi for _, hi in intervals) + sum(map(max, zip(*rows)))
+        if len(rows) * horizon >= 2**62:
+            raise ValueError(
+                "instance too large for exact int64 arithmetic: machines x "
+                "(largest upper release + total slowest processing time) "
+                "must stay below 2**62"
+            )
 
     @property
     def n(self) -> int:
@@ -343,8 +355,39 @@ def makespans_for_release_rows(
 
 
 def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
-    """Vector of makespans under each extreme scenario, indexed by raised job."""
-    return makespans_for_release_rows(schedule, inst, extreme_release_matrix(inst))
+    """Vector of makespans under each extreme scenario, indexed by raised job.
+
+    Raising job j changes only its own machine. There, the chain step
+    ``x -> p + max(x, lo)`` of every later job is the max-plus map
+    ``x -> max(x + p, lo + p)``, and such maps compose to one map
+    ``x -> max(x + A, B)``. One backward pass per machine gives the map of
+    each suffix, so each makespan is one map applied to the raised job's
+    completion, against the largest base completion of the other machines.
+    """
+    lo, hi = inst.release_lo, inst.release_hi
+    own = np.empty(inst.n, dtype=np.int64)  # makespan of the raised job's machine
+    home = np.empty(inst.n, dtype=np.int64)
+    finals = np.zeros(inst.m, dtype=np.int64)
+    for i, seq in enumerate(schedule.machines):
+        if not seq:
+            continue
+        jobs = np.asarray(seq, dtype=np.int64)
+        proc = inst.p_array[i, jobs]
+        chain = np.cumsum(proc)
+        # base completion at k: the largest lo_t plus the work of jobs t..k
+        done = np.maximum.accumulate(lo[jobs] + proc - chain) + chain
+        finals[i] = done[-1]
+        # map of the jobs after position k: x -> max(x + shift_k, floor_k)
+        shift = chain[-1] - chain
+        floor = np.maximum.accumulate((lo[jobs] + proc + shift)[::-1])[::-1]
+        floor = np.append(floor[1:], 0)
+        raised = proc + np.maximum(np.append(0, done[:-1]), hi[jobs])
+        own[jobs] = np.maximum(raised + shift, floor)
+        home[jobs] = i
+    top = int(np.argmax(finals))
+    others = np.full(inst.m, finals[top])
+    others[top] = np.delete(finals, top).max(initial=0)
+    return np.maximum(own, others[home])
 
 
 def covered_jobs(schedule: Schedule, inst: Instance) -> frozenset[int]:
@@ -373,8 +416,11 @@ def effective_scenarios(
 ) -> list[tuple[int, Scenario]]:
     """Extreme scenarios that can still attain the worst-case regret."""
     covered = covered_jobs(schedule, inst)
+    lows = lower_scenario(inst).r
     return [
-        (j, extreme_scenario(inst, j)) for j in range(inst.n) if j not in covered
+        (j, Scenario(r=lows[:j] + (inst.release[j][1],) + lows[j + 1:]))
+        for j in range(inst.n)
+        if j not in covered
     ]
 
 

@@ -4,10 +4,19 @@ Written directly from the selection rules with plain loops and exact
 Fractions, independent of the package's vectorized code paths; bounds come
 from the brute-force helpers. Used to cross-check decisions, including tie
 handling, on small instances.
+
+The module also keeps the n x n matrix path of the extreme-scenario
+kernels, one full release row per extreme scenario, as the differential
+reference of ``scaled_extreme_bounds`` and ``extreme_makespans``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
+
+from robust_sched.bounds import scaled_combined_rows
+from robust_sched.model import extreme_release_matrix, makespans_for_release_rows
 
 from _brute import brute_lb1, brute_lb2, brute_lb3
 
@@ -143,3 +152,16 @@ def reference_pre(p, intervals, short=False):
         placed.append(v)
         remaining.discard(v)
     return machines
+
+
+def reference_extreme_bounds(inst):
+    """Scaled combined bound per extreme scenario from the full n x n
+    release matrix, one sorted row per scenario."""
+    rows = extreme_release_matrix(inst)
+    proc = np.tile(inst.min_proc, (inst.n, 1))
+    return scaled_combined_rows(rows, proc, inst.m)
+
+
+def reference_extreme_makespans(schedule, inst):
+    """Makespan per extreme scenario, chained over the n x n release matrix."""
+    return makespans_for_release_rows(schedule, inst, extreme_release_matrix(inst))

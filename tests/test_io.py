@@ -36,6 +36,26 @@ def test_instance_rejects_inconsistent_counts(inst):
         io.instance_from_dict(document)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", [[True, 7], [5, 6]]), ("release", [[2, 5], [False, 3]]), ("m", True)],
+)
+def test_instance_rejects_booleans(inst, field, value):
+    document = io.instance_to_dict(inst)
+    document[field] = value
+    if field == "m":  # one machine, so that m == True would compare equal
+        document["p"] = document["p"][:1]
+    with pytest.raises(io.FormatError):
+        io.instance_from_dict(document)
+
+
+def test_schedule_and_scenario_reject_booleans():
+    with pytest.raises(io.FormatError):
+        io.schedule_from_dict({"machines": [[True, 0], []]})
+    with pytest.raises(io.FormatError):
+        io.scenario_from_dict({"r": [2, False]})
+
+
 def test_instance_ignores_provenance_key(inst, tmp_path):
     document = io.instance_to_dict(inst)
     document["provenance"] = {"seed": 1}

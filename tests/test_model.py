@@ -14,11 +14,12 @@ from robust_sched import (
     makespan,
     regret,
     regret_upper_bound,
+    relaxed_regret,
     validate_schedule,
 )
 from robust_sched.model import relabel_jobs
 
-from _brute import brute_makespan
+from _brute import brute_lb1, brute_lb2, brute_lb3, brute_makespan
 from conftest import random_instance, random_valid_schedule
 
 
@@ -42,6 +43,26 @@ class TestInstanceInvariants:
     def test_allows_deterministic_intervals(self):
         inst = Instance(p=((2,),), release=((3, 3),))
         assert inst.release == ((3, 3),)
+
+    @pytest.mark.parametrize("p, hi", [(2**62, 1), (2**61, 1), (2**60 - 1, 2)])
+    def test_rejects_values_the_int64_kernels_would_wrap(self, p, hi):
+        # with p = 2**61 the scaled lb1 once wrapped to a relaxed regret of
+        # 3 * 2**60 where the exact value is 2**61
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            Instance(p=((p, p), (p, p)), release=((0, hi), (0, hi)))
+
+    def test_scores_exactly_just_below_the_int64_limit(self):
+        p, hi = 2**59, 2**60 - 2**59 - 2**58
+        inst = Instance(p=((p, p), (p, p - 1)), release=((0, hi), (hi, hi)))
+        assert 2 * (hi + 2 * p) < 2**62
+        schedule = Schedule(machines=((0, 1), ()))
+        terms = {}
+        for j in range(2):
+            r = [lo for lo, _ in inst.release]
+            r[j] = inst.release[j][1]
+            bound = max(lb(r, inst.p) for lb in (brute_lb1, brute_lb2, brute_lb3))
+            terms[j] = brute_makespan(schedule.machines, inst.p, r) - bound
+        assert relaxed_regret(schedule, inst).per_scenario == terms
 
     def test_shape_properties(self, two_machine_instance):
         assert two_machine_instance.n == 2
