@@ -27,7 +27,9 @@ batched bounds of anchors inside a raised range that stay faster than the
 raised job, is evaluated in row blocks of bounded memory over the anchors
 with fewer than ``(m - 1) * max p`` jobs, a handful on generated instances.
 With the O(n + m) extreme makespans of :mod:`.model`, relaxed regret needs
-no n x n array at any size.
+no n x n array at any size. Its ``effective_only`` mode drops the covered
+jobs, which :mod:`.model` reads off the same base chain as the makespans,
+and a report shares one ``Fraction`` per distinct term among its jobs.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from .model import (
     Scenario,
     Schedule,
     Time,
-    covered_jobs,
+    covered_mask,
     ensure_scenario,
     ensure_valid_schedule,
     extreme_makespans,
@@ -296,14 +298,18 @@ def relaxed_regret(
     scaled_lb = scaled_extreme_bounds(inst)
     terms = inst.m * values - scaled_lb
 
-    jobs = range(inst.n)
     if effective_only:
-        skip = covered_jobs(schedule, inst)
-        jobs = [j for j in jobs if j not in skip]
-    per_scenario: dict[int, Time] = {
-        j: Fraction(int(terms[j]), inst.m) for j in jobs
-    }
-    best_job = max(jobs, key=lambda j: (terms[j], -j))
+        jobs = np.flatnonzero(~covered_mask(schedule, inst))
+        terms = terms[jobs]
+    else:
+        jobs = np.arange(inst.n)
+    best_job = int(jobs[np.argmax(terms)])  # the first, lowest job of the ties
+    # a report holds few distinct terms: one Fraction each, shared by the jobs
+    kept = terms.tolist()
+    shared = {t: Fraction(t, inst.m) for t in set(kept)}
+    per_scenario: dict[int, Time] = dict(
+        zip(jobs.tolist(), map(shared.__getitem__, kept))
+    )
     return RegretReport(
         value=per_scenario[best_job],
         scenario=extreme_scenario(inst, best_job),

@@ -129,9 +129,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         report = grid_regret(schedule, inst, args.grid_points, _limits(args))
     document = io.regret_report_to_dict(report)
-    if args.out:
-        io.write_json(args.out, document)
-    print(io.dumps(document), end="")
+    text = io.write_json(args.out, document) if args.out else io.dumps(document)
+    print(text, end="")
     return 0
 
 

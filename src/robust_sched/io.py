@@ -18,6 +18,7 @@ newline.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -37,13 +38,11 @@ def _number(value: Any) -> int | float:
     return value
 
 
-def _ints(values) -> tuple:
-    """The entries of a JSON integer array. JSON booleans are refused: Python
-    treats ``True`` as the integer 1, a document does not."""
-    values = tuple(values)
-    if any(isinstance(v, bool) for v in values):
+def _check_ints(*arrays) -> None:
+    """Refuse JSON booleans among integers: Python treats ``True`` as the
+    integer 1, a document does not."""
+    if bool in map(type, itertools.chain(*arrays)):
         raise ValueError("expected integers, found a boolean")
-    return values
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -57,11 +56,11 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     try:
-        inst = Instance(
-            p=tuple(_ints(row) for row in data["p"]),
-            release=tuple(_ints((lo, hi)) for lo, hi in data["release"]),
-        )
-        m, n = _ints((data.get("m"), data.get("n")))
+        p = tuple(map(tuple, data["p"]))
+        release = tuple(map(tuple, data["release"]))
+        m, n = data.get("m"), data.get("n")
+        _check_ints((m, n), *p, *release)
+        inst = Instance(p=p, release=release)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad instance document: {exc}") from exc
     if (inst.m, inst.n) != (m, n):
@@ -75,7 +74,9 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 def schedule_from_dict(data: dict) -> Schedule:
     try:
-        return Schedule(machines=tuple(_ints(seq) for seq in data["machines"]))
+        machines = tuple(map(tuple, data["machines"]))
+        _check_ints(*machines)
+        return Schedule(machines=machines)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad schedule document: {exc}") from exc
 
@@ -86,7 +87,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        return Scenario(r=_ints(data["r"]))
+        r = tuple(data["r"])
+        _check_ints(r)
+        return Scenario(r=r)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad scenario document: {exc}") from exc
 
@@ -137,8 +140,11 @@ def dumps(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path: str | Path, document: dict) -> None:
-    Path(path).write_text(dumps(document), encoding="utf-8")
+def write_json(path: str | Path, document: dict) -> str:
+    """Write the document and return the text written."""
+    text = dumps(document)
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def read_json(path: str | Path) -> dict:

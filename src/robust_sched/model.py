@@ -13,11 +13,19 @@ box is attained on the small set of *extreme scenarios* (all release dates at
 their lower bounds except a single job raised to its upper bound), which this
 module constructs and prunes.
 
+Scoring a fixed schedule runs no Python loop over its jobs. One per-machine
+pass chains the all-lower-bounds completions in numpy; the extreme makespans
+start from it, and a job is covered (its extreme scenario redundant) where
+its predecessor's completion in that chain reaches its upper release. A
+valid schedule passes validation with one sorted comparison.
+
 Jobs and machines are indexed 0-based throughout the API; human-readable
 messages label them 1-based.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -75,14 +83,15 @@ class Instance:
             raise ValueError(
                 f"expected {n} release intervals, got {len(intervals)}"
             )
-        if any(v <= 0 for row in rows for v in row):
+        if min(map(min, rows)) <= 0:
             raise ValueError("processing times must be positive")
-        for j, (lo, hi) in enumerate(intervals):
-            if lo < 0 or lo > hi:
-                raise ValueError(
-                    f"release interval of job {j + 1} must satisfy 0 <= lo <= hi"
-                )
-        horizon = max(hi for _, hi in intervals) + sum(map(max, zip(*rows)))
+        lows, highs = zip(*intervals)
+        if min(lows) < 0 or any(map(operator.gt, lows, highs)):
+            j = next(j for j, (lo, hi) in enumerate(intervals) if not 0 <= lo <= hi)
+            raise ValueError(
+                f"release interval of job {j + 1} must satisfy 0 <= lo <= hi"
+            )
+        horizon = max(highs) + sum(map(max, zip(*rows)))
         if len(rows) * horizon >= 2**62:
             raise ValueError(
                 "instance too large for exact int64 arithmetic: machines x "
@@ -141,6 +150,13 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", _int_tuple(self.r))
+
+    @classmethod
+    def _of(cls, r: tuple[int, ...]) -> Scenario:
+        """A scenario over a tuple of Python ints, taken as it is."""
+        scenario = object.__new__(cls)
+        object.__setattr__(scenario, "r", r)
+        return scenario
 
     @cached_property
     def r_array(self) -> np.ndarray:
@@ -224,10 +240,14 @@ def validate_schedule(schedule: Schedule, inst: Instance) -> ScheduleViolation |
                 f"instance has {inst.m} machines"
             ),
         )
-    seen = [False] * inst.n
+    n = inst.n
+    if sorted(itertools.chain.from_iterable(schedule.machines)) == list(range(n)):
+        return None
+    # invalid: find the first violation in schedule order
+    seen = [False] * n
     for i, seq in enumerate(schedule.machines):
         for job in seq:
-            if job < 0 or job >= inst.n:
+            if job < 0 or job >= n:
                 return ScheduleViolation(
                     kind="job-out-of-range",
                     job=job,
@@ -318,14 +338,16 @@ def extreme_scenario(inst: Instance, job: int) -> Scenario:
     """All release dates at their lower bounds except ``job`` at its upper."""
     if job < 0 or job >= inst.n:
         raise IndexError(f"job index {job} out of range for {inst.n} jobs")
-    values = [lo for lo, _ in inst.release]
-    values[job] = inst.release[job][1]
-    return Scenario(r=tuple(values))
+    return _raised(lower_scenario(inst).r, job, inst.release[job][1])
 
 
 def lower_scenario(inst: Instance) -> Scenario:
     """Every release date at its lower bound."""
-    return Scenario(r=tuple(lo for lo, _ in inst.release))
+    return Scenario._of(tuple(inst.release_lo.tolist()))
+
+
+def _raised(lows: tuple[int, ...], job: int, value: int) -> Scenario:
+    return Scenario._of(lows[:job] + (value,) + lows[job + 1:])
 
 
 def extreme_scenarios(inst: Instance) -> list[Scenario]:
@@ -354,6 +376,21 @@ def makespans_for_release_rows(
     return best
 
 
+def _base_chains(schedule: Schedule, inst: Instance):
+    """Per non-empty machine under the all-lower-bounds scenario: the
+    machine, its jobs in order, their processing times, the running work
+    total and the completions (the largest ``lo_t`` plus the work of jobs
+    t..k, the closed form of the chain rule)."""
+    lo = inst.release_lo
+    for i, seq in enumerate(schedule.machines):
+        if seq:
+            jobs = np.asarray(seq, dtype=np.int64)
+            proc = inst.p_array[i, jobs]
+            chain = np.cumsum(proc)
+            done = np.maximum.accumulate(lo[jobs] + proc - chain) + chain
+            yield i, jobs, proc, chain, done
+
+
 def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
     """Vector of makespans under each extreme scenario, indexed by raised job.
 
@@ -368,14 +405,7 @@ def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
     own = np.empty(inst.n, dtype=np.int64)  # makespan of the raised job's machine
     home = np.empty(inst.n, dtype=np.int64)
     finals = np.zeros(inst.m, dtype=np.int64)
-    for i, seq in enumerate(schedule.machines):
-        if not seq:
-            continue
-        jobs = np.asarray(seq, dtype=np.int64)
-        proc = inst.p_array[i, jobs]
-        chain = np.cumsum(proc)
-        # base completion at k: the largest lo_t plus the work of jobs t..k
-        done = np.maximum.accumulate(lo[jobs] + proc - chain) + chain
+    for i, jobs, proc, chain, done in _base_chains(schedule, inst):
         finals[i] = done[-1]
         # map of the jobs after position k: x -> max(x + shift_k, floor_k)
         shift = chain[-1] - chain
@@ -390,37 +420,38 @@ def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
     return np.maximum(own, others[home])
 
 
+def covered_mask(schedule: Schedule, inst: Instance) -> np.ndarray:
+    """Boolean vector over jobs: True where the job is covered (see
+    :func:`covered_jobs`). The schedule must be valid."""
+    covered = np.zeros(inst.n, dtype=bool)
+    hi = inst.release_hi
+    for _, jobs, _, _, done in _base_chains(schedule, inst):
+        covered[jobs[1:]] = done[:-1] >= hi[jobs[1:]]
+    return covered
+
+
 def covered_jobs(schedule: Schedule, inst: Instance) -> frozenset[int]:
     """Jobs whose whole release interval is hidden behind their predecessors.
 
     A job at position 2 or later whose predecessor (under the all-lower-bounds
     scenario) finishes no earlier than the job's upper release bound can never
     shift the makespan through its release date, so its extreme scenario is
-    redundant.
+    redundant. The predecessors' completions are the base chain that
+    :func:`extreme_makespans` starts from.
     """
     ensure_valid_schedule(schedule, inst)
-    base = lower_scenario(inst)
-    covered: set[int] = set()
-    for i, seq in enumerate(schedule.machines):
-        row = inst.p[i]
-        current = 0
-        for k, job in enumerate(seq):
-            if k >= 1 and current >= inst.release[job][1]:
-                covered.add(job)
-            current = row[job] + max(current, base.r[job])
-    return frozenset(covered)
+    return frozenset(np.flatnonzero(covered_mask(schedule, inst)).tolist())
 
 
 def effective_scenarios(
     schedule: Schedule, inst: Instance
 ) -> list[tuple[int, Scenario]]:
     """Extreme scenarios that can still attain the worst-case regret."""
-    covered = covered_jobs(schedule, inst)
+    ensure_valid_schedule(schedule, inst)
     lows = lower_scenario(inst).r
     return [
-        (j, Scenario(r=lows[:j] + (inst.release[j][1],) + lows[j + 1:]))
-        for j in range(inst.n)
-        if j not in covered
+        (j, _raised(lows, j, inst.release[j][1]))
+        for j in np.flatnonzero(~covered_mask(schedule, inst)).tolist()
     ]
 
 
@@ -433,19 +464,8 @@ def regret_upper_bound(schedule: Schedule, inst: Instance) -> int:
     if every job is covered the bound degenerates to 0.
     """
     ensure_valid_schedule(schedule, inst)
-    covered = covered_jobs(schedule, inst)
-    if len(covered) == inst.n:
-        return 0
-    values = extreme_makespans(schedule, inst)
-    floor = inst.release_hi + inst.min_proc
-    best = None
-    for j in range(inst.n):
-        if j in covered:
-            continue
-        term = int(values[j] - floor[j])
-        if best is None or term > best:
-            best = term
-    return 0 if best is None else best
+    terms = extreme_makespans(schedule, inst) - (inst.release_hi + inst.min_proc)
+    return int(terms[~covered_mask(schedule, inst)].max(initial=0))
 
 
 def relabel_jobs(inst: Instance, permutation: Sequence[int]) -> Instance:

@@ -9,11 +9,15 @@ minimax-regret optimum enumerates per-machine sequences outright, since the
 regret objective has no per-machine ordering rule.
 
 Results carry a ``certified`` flag: a search cut short by ``time_budget``
-returns its incumbent flagged ``False``.
+returns its incumbent flagged ``False``. The budget is the wall clock of the
+call made: every search inside one ``exact_worst_case_regret`` or
+``exhaustive_min_regret`` shares one deadline, read before each search
+starts.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,7 +85,11 @@ def _check_limits(inst: Instance, limits: OracleLimits) -> None:
 
 
 class _Deadline:
-    """Cheap periodic wall-clock check for enumeration loops."""
+    """The wall clock of one budgeted call, shared by every search it runs.
+
+    ``check`` reads the clock once every 1024 calls, for search loops with
+    cheap steps; ``check_now`` reads it at once, before a search starts.
+    """
 
     def __init__(self, budget: float | None):
         self._deadline = None if budget is None else time.monotonic() + budget
@@ -93,7 +101,10 @@ class _Deadline:
         self._tick += 1
         if self._tick & 0x3FF:
             return
-        if time.monotonic() >= self._deadline:
+        self.check_now()
+
+    def check_now(self) -> None:
+        if self._deadline is not None and time.monotonic() >= self._deadline:
             raise _BudgetExhausted
 
 
@@ -121,6 +132,7 @@ def optimal_makespan(
     limits: OracleLimits = DEFAULT_LIMITS,
     *,
     prune: bool = True,
+    deadline: _Deadline | None = None,
 ) -> OptimalMakespan:
     """Exact optimal makespan for one scenario, with an optimal schedule.
 
@@ -128,6 +140,10 @@ def optimal_makespan(
     carries the optimal within-machine order. Subtrees are cut when the
     larger of the current load and the combined bound of the unassigned
     suffix cannot beat the incumbent; pruning never changes the result.
+
+    The search stops at ``deadline``, the clock of an enclosing budgeted
+    call, or else at ``limits.time_budget`` from now. Past it, the greedy
+    incumbent comes back uncertified without any search.
     """
     _check_limits(inst, limits)
     ensure_scenario(scenario, inst)
@@ -147,8 +163,9 @@ def optimal_makespan(
     best_value = max(loads)
     best_machines = [tuple(seq) for seq in greedy]
 
-    suffix_bounds = _suffix_scaled_bounds(inst, scenario, order) if prune else None
-    deadline = _Deadline(limits.time_budget)
+    if deadline is None:
+        deadline = _Deadline(limits.time_budget)
+    suffix_bounds: list[int] = []
     loads = [0] * m
     stack: list[list[int]] = [[] for _ in range(m)]
 
@@ -177,6 +194,9 @@ def optimal_makespan(
 
     certified = True
     try:
+        deadline.check_now()
+        if prune:
+            suffix_bounds = _suffix_scaled_bounds(inst, scenario, order)
         dfs(0, 0)
     except _BudgetExhausted:
         certified = False
@@ -233,10 +253,12 @@ def exact_worst_case_regret(
 
     Each term needs the true optimal makespan of its scenario, hence the
     desk-scale limits. ``effective_only`` skips scenarios of jobs with
-    covered intervals; the maximum is unchanged by the skip.
+    covered intervals; the maximum is unchanged by the skip. All the
+    searches share one ``limits.time_budget``.
     """
     _check_limits(inst, limits)
     ensure_valid_schedule(schedule, inst)
+    deadline = _Deadline(limits.time_budget)
     values = makespans_for_release_rows(
         schedule, inst, extreme_release_matrix(inst)
     )
@@ -247,7 +269,9 @@ def exact_worst_case_regret(
     per_scenario: dict[int, int] = {}
     certified = True
     for j in jobs:
-        opt = optimal_makespan(inst, extreme_scenario(inst, j), limits)
+        opt = optimal_makespan(
+            inst, extreme_scenario(inst, j), limits, deadline=deadline
+        )
         certified = certified and opt.certified
         per_scenario[j] = int(values[j]) - opt.makespan
     best_job = max(per_scenario, key=lambda j: (per_scenario[j], -j))
@@ -322,20 +346,24 @@ def exhaustive_min_regret(
     schedule encoding, so ties resolve to the lexicographically smallest
     optimal schedule. The partial worst-case regret only grows as jobs are
     appended, which gives the (optional, result-preserving) prune.
+
+    The optima and the enumeration share one ``limits.time_budget``. Cut
+    short before any complete schedule, the call returns the schedule found
+    for the first extreme scenario, scored against the optima at hand.
     """
     _check_limits(inst, limits)
     n, m = inst.n, inst.m
     p = inst.p
 
-    opts: list[int] = []
-    certified = True
-    for j in range(n):
-        result = optimal_makespan(inst, extreme_scenario(inst, j), limits)
-        certified = certified and result.certified
-        opts.append(result.makespan)
+    deadline = _Deadline(limits.time_budget)
+    optima = [
+        optimal_makespan(inst, extreme_scenario(inst, j), limits, deadline=deadline)
+        for j in range(n)
+    ]
+    opts = [result.makespan for result in optima]
+    certified = all(result.certified for result in optima)
 
     extreme_release = extreme_release_matrix(inst)  # row t, column j
-    deadline = _Deadline(limits.time_budget)
 
     machines: list[list[int]] = [[] for _ in range(m)]
     # last[i][t]: completion of machine i's sequence under extreme scenario t
@@ -380,16 +408,15 @@ def exhaustive_min_regret(
             last[machine] = saved
 
     try:
+        deadline.check_now()
         dfs(0, list(range(n)))
     except _BudgetExhausted:
         certified = False
     if best_machines is None:  # budget hit before the first leaf
-        fallback = optimal_makespan(inst, extreme_scenario(inst, 0), limits)
-        best_machines = fallback.schedule.machines
-        best_regret = exact_worst_case_regret(
-            fallback.schedule, inst, limits
-        ).value
-        certified = False
+        fallback = optima[0].schedule
+        best_machines = fallback.machines
+        values = makespans_for_release_rows(fallback, inst, extreme_release)
+        best_regret = max(map(operator.sub, values.tolist(), opts))
     return MinRegretResult(
         schedule=Schedule(machines=best_machines),
         regret=int(best_regret),

@@ -7,7 +7,10 @@ handling, on small instances.
 
 The module also keeps the n x n matrix path of the extreme-scenario
 kernels, one full release row per extreme scenario, as the differential
-reference of ``scaled_extreme_bounds`` and ``extreme_makespans``.
+reference of ``scaled_extreme_bounds`` and ``extreme_makespans``, and the
+per-job loops of schedule validation, covered jobs, effective scenarios and
+the regret upper bound, which the package now does in numpy or in one
+sorted comparison.
 """
 from __future__ import annotations
 
@@ -16,7 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from robust_sched.bounds import scaled_combined_rows
-from robust_sched.model import extreme_release_matrix, makespans_for_release_rows
+from robust_sched.model import (
+    Scenario,
+    ScheduleViolation,
+    extreme_release_matrix,
+    makespans_for_release_rows,
+)
 
 from _brute import brute_lb1, brute_lb2, brute_lb3
 
@@ -165,3 +173,82 @@ def reference_extreme_bounds(inst):
 def reference_extreme_makespans(schedule, inst):
     """Makespan per extreme scenario, chained over the n x n release matrix."""
     return makespans_for_release_rows(schedule, inst, extreme_release_matrix(inst))
+
+
+def reference_validate_schedule(machines, n, m):
+    """First violation of a schedule, found by one scan in schedule order."""
+    if len(machines) != m:
+        return ScheduleViolation(
+            kind="machine-count",
+            job=None,
+            machine=None,
+            message=(
+                f"schedule has {len(machines)} machine sequences, "
+                f"instance has {m} machines"
+            ),
+        )
+    seen = [False] * n
+    for i, seq in enumerate(machines):
+        for job in seq:
+            if job < 0 or job >= n:
+                return ScheduleViolation(
+                    kind="job-out-of-range",
+                    job=job,
+                    machine=i,
+                    message=f"machine {i + 1} lists unknown job {job + 1}",
+                )
+            if seen[job]:
+                return ScheduleViolation(
+                    kind="duplicate-job",
+                    job=job,
+                    machine=i,
+                    message=f"job {job + 1} is assigned more than once",
+                )
+            seen[job] = True
+    for job, ok in enumerate(seen):
+        if not ok:
+            return ScheduleViolation(
+                kind="missing-job",
+                job=job,
+                machine=None,
+                message=f"job {job + 1} is unassigned",
+            )
+    return None
+
+
+def reference_covered_jobs(machines, p, intervals):
+    """Jobs at position 2 or later whose predecessor, chained under the
+    all-lower-bounds scenario, ends no earlier than the job's upper release."""
+    covered = set()
+    for i, seq in enumerate(machines):
+        current = 0
+        for k, job in enumerate(seq):
+            if k >= 1 and current >= intervals[job][1]:
+                covered.add(job)
+            current = p[i][job] + max(current, intervals[job][0])
+    return frozenset(covered)
+
+
+def reference_effective_scenarios(machines, p, intervals):
+    covered = reference_covered_jobs(machines, p, intervals)
+    out = []
+    for j in range(len(intervals)):
+        if j not in covered:
+            r = _lows(intervals)
+            r[j] = intervals[j][1]
+            out.append((j, Scenario(r=tuple(r))))
+    return out
+
+
+def reference_regret_upper_bound(schedule, inst):
+    """Largest makespan minus (upper release + fastest time) over the
+    uncovered jobs, with the makespans from the n x n matrix path."""
+    covered = reference_covered_jobs(schedule.machines, inst.p, inst.release)
+    values = reference_extreme_makespans(schedule, inst).tolist()
+    best = None
+    for j, (_, hi) in enumerate(inst.release):
+        if j not in covered:
+            term = values[j] - hi - min(row[j] for row in inst.p)
+            if best is None or term > best:
+                best = term
+    return 0 if best is None else best

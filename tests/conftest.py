@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from robust_sched import Instance, Schedule
 
@@ -24,6 +25,26 @@ def random_valid_schedule(rng: random.Random, inst: Instance) -> Schedule:
     for seq in machines:
         rng.shuffle(seq)
     return Schedule(machines=tuple(tuple(seq) for seq in machines))
+
+
+@st.composite
+def instance_and_schedule(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    p_max = draw(st.sampled_from([1, 3, 30]))
+    p = tuple(
+        tuple(draw(st.integers(1, p_max)) for _ in range(n)) for _ in range(m)
+    )
+    lows = st.integers(0, draw(st.sampled_from([0, 4, 40])))
+    release = tuple(
+        (lo, lo + draw(st.sampled_from([0, 0, 1, 5, 60])))
+        for lo in (draw(lows) for _ in range(n))
+    )
+    inst = Instance(p=p, release=release)
+    machines = [[] for _ in range(m)]
+    for job in draw(st.permutations(range(n))):
+        machines[draw(st.integers(0, m - 1))].append(job)
+    return inst, Schedule(machines=tuple(tuple(seq) for seq in machines))
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from robust_sched import (
     Instance,
@@ -27,7 +26,7 @@ from robust_sched.datagen import params_for_dataset
 from robust_sched.model import extreme_makespans
 
 from _reference import reference_extreme_bounds, reference_extreme_makespans
-from conftest import random_instance, random_valid_schedule
+from conftest import instance_and_schedule, random_instance, random_valid_schedule
 
 
 def assert_kernels_match(inst, schedule):
@@ -35,26 +34,6 @@ def assert_kernels_match(inst, schedule):
     assert np.array_equal(
         extreme_makespans(schedule, inst), reference_extreme_makespans(schedule, inst)
     )
-
-
-@st.composite
-def instance_and_schedule(draw):
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(1, 4))
-    p_max = draw(st.sampled_from([1, 3, 30]))
-    p = tuple(
-        tuple(draw(st.integers(1, p_max)) for _ in range(n)) for _ in range(m)
-    )
-    lows = st.integers(0, draw(st.sampled_from([0, 4, 40])))
-    release = tuple(
-        (lo, lo + draw(st.sampled_from([0, 0, 1, 5, 60])))
-        for lo in (draw(lows) for _ in range(n))
-    )
-    inst = Instance(p=p, release=release)
-    machines = [[] for _ in range(m)]
-    for job in draw(st.permutations(range(n))):
-        machines[draw(st.integers(0, m - 1))].append(job)
-    return inst, Schedule(machines=tuple(tuple(seq) for seq in machines))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from robust_sched import (
@@ -12,7 +15,7 @@ from robust_sched import (
     optimal_makespan,
     pm,
 )
-from robust_sched.model import extreme_release_matrix, makespan
+from robust_sched.model import extreme_release_matrix, extreme_scenario, makespan
 from robust_sched.oracle import (
     _grid_points,
     optimal_makespans_for_release_rows,
@@ -204,3 +207,57 @@ class TestExhaustiveMinRegret:
         best = exhaustive_min_regret(inst)
         assert best.regret == 0
         assert best.schedule.machines == ((0,), (1,))
+
+
+def slow_search_instance() -> Instance:
+    """Jobs fastest on machine 0 with overlapping releases: the combined
+    bound is weak, so the search of every extreme scenario runs long."""
+    rng = random.Random(1)
+    n, m = 15, 4
+    p = [[rng.randint(8, 12) for _ in range(n)]]
+    p += [[rng.randint(30, 60) for _ in range(n)] for _ in range(m - 1)]
+    release = []
+    for _ in range(n):
+        lo = rng.randint(0, 10)
+        release.append((lo, lo + rng.randint(0, 40)))
+    return Instance(p=tuple(map(tuple, p)), release=tuple(release))
+
+
+class TestTimeBudget:
+    BUDGET = 0.05
+
+    def test_budget_is_the_wall_clock_of_the_call(self):
+        inst = slow_search_instance()
+        limits = OracleLimits(max_jobs=15, max_machines=4, time_budget=self.BUDGET)
+        # each extreme scenario's search alone outlasts the budget
+        started = time.perf_counter()
+        for j in range(inst.n):
+            alone = optimal_makespan(inst, extreme_scenario(inst, j), limits)
+            assert not alone.certified
+        separate = time.perf_counter() - started
+        assert separate >= inst.n * self.BUDGET
+
+        schedule = pm(inst)
+        for call in (
+            lambda: exact_worst_case_regret(schedule, inst, limits),
+            lambda: exhaustive_min_regret(inst, limits),
+        ):
+            started = time.perf_counter()
+            result = call()
+            elapsed = time.perf_counter() - started
+            assert not result.certified
+            assert elapsed < 4 * self.BUDGET < separate / 3
+
+    def test_expired_budget_stays_below_the_exact_values(self, rng):
+        # past the deadline each optimum is a greedy incumbent, at least the
+        # optimum, so every regret it scores is at most the exact one
+        expired = OracleLimits(time_budget=0.0)
+        for _ in range(10):
+            inst = random_instance(rng, rng.randint(2, 7), rng.randint(1, 3))
+            schedule = random_valid_schedule(rng, inst)
+            report = exact_worst_case_regret(schedule, inst, expired)
+            assert not report.certified
+            assert report.value <= exact_worst_case_regret(schedule, inst).value
+            best = exhaustive_min_regret(inst, expired)
+            assert not best.certified
+            assert best.regret <= exact_worst_case_regret(best.schedule, inst).value
