@@ -3,7 +3,9 @@
 The sha256 digests below were frozen from the matrix implementation of the
 extreme-scenario kernels. Any rewrite of the bound kernel, the extreme
 makespans or the builders must reproduce them exactly: the same schedules,
-bit for bit, and the same exact report values.
+bit for bit, and the same exact report values. The DS1 n=1000 and DS2 n=80
+cases were frozen later, from the separate pr and pre builder loops, before
+those loops were merged.
 """
 import hashlib
 import json
@@ -87,6 +89,15 @@ GOLDEN = {
     ),
     ("DS2", 60, 5, 1, "pre", "short"): (
         "f8810a44e6ccf624", "300060871bc02cb1", "54d9f8570202eaed"
+    ),
+    ("DS1", 1000, 10, 0, "pr", "full"): (
+        "1a55a519348c78e4", "040351fd28a804b7", "dd7daa8845a3f790"
+    ),
+    ("DS2", 80, 10, 1, "pr", "short"): (
+        "0bc307644b065728", "dbe4e2ff7a4bf8ed", "1ea4e8c2ee485382"
+    ),
+    ("DS2", 80, 10, 1, "pre", "short"): (
+        "09a754963ae15331", "bb8e504179967ca4", "6e3607331a622426"
     ),
 }
 
