@@ -172,14 +172,17 @@ def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, st
     for lo, hi in inst.release:
         grid_cells *= min(grid_points, hi - lo + 1)
     if grid_cells <= GRID_SCENARIO_LIMIT:
-        ok = all(
-            grid_regret(schedule, inst, grid_points, limits).value
-            == exact[name].value
+        grids = {
+            name: grid_regret(schedule, inst, grid_points, limits)
             for name, schedule in schedules.items()
-        )
-        results.append(
-            ("pass" if ok else "fail", "extreme-scenario reduction (grid == exact)")
-        )
+        }
+        if not all(grids[name].certified and exact[name].certified for name in grids):
+            results.append(("skip", "extreme-scenario reduction (budget cut a search)"))
+        else:
+            ok = all(grids[name].value == exact[name].value for name in grids)
+            results.append(
+                ("pass" if ok else "fail", "extreme-scenario reduction (grid == exact)")
+            )
     else:
         results.append(("skip", "extreme-scenario reduction (grid too large)"))
 

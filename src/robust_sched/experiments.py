@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bounds import relaxed_regret
 from .datagen import generate, params_for_dataset
-from .heuristics import HeuristicConfig, build_schedule
+from .heuristics import _BOUND_MODES, HeuristicConfig, build_schedule
 
 THREADS_ENV_VAR = "ROBUST_SCHED_THREADS"
 CSV_COLUMNS = (
@@ -57,6 +57,8 @@ class ExperimentSpec:
         for name in self.algorithms:
             if name not in _ALGORITHM_ORDER:
                 raise ValueError(f"unknown algorithm {name!r}")
+        if self.bound_mode not in _BOUND_MODES:
+            raise ValueError(f"unknown bound mode {self.bound_mode!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
 

@@ -13,6 +13,11 @@ the end of some machine's sequence:
   worst partial-regret term over the extreme scenarios of all already placed
   jobs plus the candidate.
 
+``pr`` and ``pre`` run one builder loop: ``pre``'s score is the larger of
+``pr``'s and the placed-scenario term, and its ties use the gap summed over
+those scenarios. In short bound mode one helper builds the candidate's
+scenario row for ``pr`` and the placed jobs' rows as well for ``pre``.
+
 All tie-breaking is deterministic (gap indicators, then lowest job index,
 then lowest machine index), so identical inputs give identical schedules.
 Bound terms are compared on values scaled by the machine count, which keeps
@@ -25,8 +30,6 @@ or one job whose upper release bound dominates everything else) on which the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .bounds import scaled_combined_rows, scaled_extreme_bounds
@@ -101,35 +104,6 @@ class BuildState:
         return Schedule(machines=tuple(tuple(seq) for seq in self.machines))
 
 
-def availability_set(inst: Instance, job: int, remaining: Iterable[int]) -> frozenset[int]:
-    """Unscheduled jobs that may become available before ``job``'s latest release."""
-    pool = set(remaining)
-    if job not in pool:
-        raise ValueError(f"job {job + 1} is not in the remaining set")
-    hi = inst.release[job][1]
-    return frozenset(t for t in pool if t != job and inst.release[t][0] < hi)
-
-
-def pm_indicator(inst: Instance, remaining: Iterable[int]) -> int:
-    """Job with the fewest potentially earlier jobs.
-
-    Primary key: size of the availability set. Ties: smallest total averaged
-    processing load of that set (compared scaled by the machine count), then
-    lowest job index.
-    """
-    pool = sorted(set(remaining))
-    if not pool:
-        raise ValueError("remaining set is empty")
-    best: tuple[int, int, int] | None = None
-    for j in pool:
-        avail = availability_set(inst, j, pool)
-        load = int(sum(int(inst.sum_proc[t]) for t in avail))
-        key = (len(avail), load, j)
-        if best is None or key < best:
-            best = key
-    return best[2]
-
-
 def _argmin_with_gap_tie(
     score: np.ndarray,
     cand: np.ndarray,
@@ -190,22 +164,96 @@ def pm(inst: Instance) -> Schedule:
     return state.to_schedule()
 
 
-def _short_bounds_pr(
-    inst: Instance, state: BuildState, cand: np.ndarray
+def _short_bounds(
+    inst: Instance, placed: np.ndarray, cand: np.ndarray, nested: bool
 ) -> np.ndarray:
-    """Scaled combined bound per candidate over placed jobs plus the candidate,
-    under the candidate's own extreme scenario."""
-    placed = np.array(state.placed_order, dtype=np.int64)
-    v = cand.size
-    s = placed.size
-    release = np.empty((v, s + 1), dtype=np.int64)
-    proc = np.empty((v, s + 1), dtype=np.int64)
-    if s:
-        release[:, :s] = inst.release_lo[placed]
-        proc[:, :s] = inst.min_proc[placed]
-    release[:, s] = inst.release_hi[cand]
+    """Scaled combined bounds over the placed jobs plus each candidate.
+
+    Entry ``[c, t]`` is the bound of the subset ``placed + {cand[c]}`` under
+    the extreme scenario raising its t-th member. Without ``nested`` only the
+    candidate's own scenario is built (one column); with it, every placed
+    job's scenario comes first and the candidate's sits in the last column.
+    All candidates are batched into one kernel call; the tensor stays small
+    because subsets only reach the job count.
+    """
+    count, s = cand.size, placed.size
+    width = s + 1
+    rows = width if nested else 1
+    release = np.empty((count, rows, width), dtype=np.int64)
+    release[:, :, :s] = inst.release_lo[placed]
+    release[:, :, s] = inst.release_lo[cand][:, None]
+    if nested:
+        diag = np.arange(s)
+        release[:, diag, diag] = inst.release_hi[placed]
+    release[:, -1, s] = inst.release_hi[cand]
+    proc = np.empty((count, width), dtype=np.int64)
+    proc[:, :s] = inst.min_proc[placed]
     proc[:, s] = inst.min_proc[cand]
-    return scaled_combined_rows(release, proc, inst.m)
+    scaled = scaled_combined_rows(
+        release.reshape(count * rows, width),
+        np.repeat(proc, rows, axis=0),
+        inst.m,
+    )
+    return scaled.reshape(count, rows)
+
+
+def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
+    """The builder loop shared by ``pr`` (``nested`` false) and ``pre``.
+
+    Every iteration scores each (machine, candidate) pair by ``m`` times the
+    candidate's completion under its own extreme scenario minus the scaled
+    bound of that scenario. With ``nested``, the score is the larger of that
+    and the worst term over the extreme scenarios of the placed jobs (the
+    candidate appended at its lower release); since both terms share the
+    ``m * p`` addend, this is the worst partial-regret term over all placed
+    jobs plus the candidate. Tied pairs prefer the largest gap between the
+    machine's completion and the candidate's latest release: under the
+    all-lower-bounds scenario for ``pr``, summed over the placed jobs'
+    scenarios for ``pre``.
+    """
+    n, m = inst.n, inst.m
+    state = BuildState(inst)
+    rlo, rhi = inst.release_lo, inst.release_hi
+    full_bounds = scaled_extreme_bounds(inst) if bound_mode == "full" else None
+
+    for _ in range(n):
+        cand = np.array(sorted(state.remaining), dtype=np.int64)
+        base = state.base_completions()
+        if nested or full_bounds is None:
+            placed = np.array(state.placed_order, dtype=np.int64)
+        if full_bounds is None:
+            short = _short_bounds(inst, placed, cand, nested)  # (V, 1 or s+1)
+            own_lb = short[:, -1]
+        else:
+            own_lb = full_bounds[cand]
+        proc = inst.p_array[:, cand]
+        completions = proc + np.maximum(base[:, None], rhi[cand][None, :])
+        score = m * completions - own_lb[None, :]  # (m, V)
+
+        if nested:
+            last_placed = state.completions_for_jobs(placed)  # (m, s)
+            if placed.size:
+                placed_lb = (
+                    full_bounds[placed] if full_bounds is not None else short[:, :-1]
+                )
+                terms = m * np.maximum(
+                    last_placed[:, None, :], rlo[cand][None, :, None]
+                )
+                terms -= placed_lb  # (m, V, s)
+                np.maximum(score, terms.max(axis=2) + m * proc, out=score)
+
+            def gap(machine: int, job: int) -> int:
+                gaps = last_placed[machine] - rhi[job]
+                return int(np.maximum(gaps, 0).sum())
+
+        else:
+
+            def gap(machine: int, job: int) -> int:
+                return max(int(base[machine]) - int(rhi[job]), 0)
+
+        job, machine = _argmin_with_gap_tie(score, cand, gap)
+        state.place(job, machine)
+    return state.to_schedule()
 
 
 def pr(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
@@ -217,62 +265,7 @@ def pr(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
     completion (all release dates low) and the job's latest release, closing
     idle windows first.
     """
-    config = config or HeuristicConfig(algorithm="pr")
-    n, m = inst.n, inst.m
-    state = BuildState(inst)
-    rhi = inst.release_hi
-    full_bounds = (
-        scaled_extreme_bounds(inst) if config.bound_mode == "full" else None
-    )
-
-    for _ in range(n):
-        cand = np.array(sorted(state.remaining), dtype=np.int64)
-        base = state.base_completions()
-        completions = inst.p_array[:, cand] + np.maximum(
-            base[:, None], rhi[cand][None, :]
-        )
-        if full_bounds is not None:
-            scaled_lb = full_bounds[cand]
-        else:
-            scaled_lb = _short_bounds_pr(inst, state, cand)
-        score = m * completions - scaled_lb[None, :]
-
-        def gap(machine: int, job: int) -> int:
-            return max(int(base[machine]) - int(rhi[job]), 0)
-
-        job, machine = _argmin_with_gap_tie(score, cand, gap)
-        state.place(job, machine)
-    return state.to_schedule()
-
-
-def _short_bounds_pre(
-    inst: Instance, placed: np.ndarray, cand: np.ndarray
-) -> np.ndarray:
-    """Scaled combined bounds over placed jobs plus each candidate.
-
-    Entry ``[c, t]`` is the bound of the subset ``placed + {cand[c]}`` under
-    the extreme scenario raising the t-th subset member (the candidate itself
-    sits at the last position). All candidates are batched into one kernel
-    call; the tensor stays small because subsets only reach the job count.
-    """
-    count, s = cand.size, placed.size
-    width = s + 1
-    release = np.empty((count, width, width), dtype=np.int64)
-    proc = np.empty((count, width), dtype=np.int64)
-    if s:
-        release[:, :, :s] = inst.release_lo[placed]
-        proc[:, :s] = inst.min_proc[placed]
-        diag = np.arange(s)
-        release[:, diag, diag] = inst.release_hi[placed]
-    release[:, :s, s] = inst.release_lo[cand][:, None]
-    release[:, s, s] = inst.release_hi[cand]
-    proc[:, s] = inst.min_proc[cand]
-    scaled = scaled_combined_rows(
-        release.reshape(count * width, width),
-        np.repeat(proc, width, axis=0),
-        inst.m,
-    )
-    return scaled.reshape(count, width)
+    return _partial_regret(inst, (config or HeuristicConfig()).bound_mode, False)
 
 
 def pre(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
@@ -281,51 +274,10 @@ def pre(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
     For every candidate placement the score is the worst partial-regret term
     over the extreme scenarios of all placed jobs plus the candidate, so each
     decision already accounts for the scenarios committed so far. Tied
-    placements prefer the largest average gap between the machine's
-    completion under those scenarios and the candidate's latest release.
+    placements prefer the largest total gap between the machine's
+    completions under those scenarios and the candidate's latest release.
     """
-    config = config or HeuristicConfig(algorithm="pre")
-    n, m = inst.n, inst.m
-    state = BuildState(inst)
-    rlo, rhi = inst.release_lo, inst.release_hi
-    full_bounds = (
-        scaled_extreme_bounds(inst) if config.bound_mode == "full" else None
-    )
-
-    for _ in range(n):
-        cand = np.array(sorted(state.remaining), dtype=np.int64)
-        placed = np.array(state.placed_order, dtype=np.int64)
-        base = state.base_completions()
-        last_placed = state.completions_for_jobs(placed)  # (m, s)
-
-        if full_bounds is not None:
-            own_lb = full_bounds[cand][:, None]  # (V, 1)
-            placed_lb = full_bounds[placed][None, None, :]  # (1, 1, s)
-        else:
-            rows = _short_bounds_pre(inst, placed, cand)  # (V, s+1)
-            own_lb = rows[:, -1:]
-            placed_lb = rows[:, :-1][:, None, :]  # (V, 1, s)
-        own = m * np.maximum(base[None, :], rhi[cand][:, None]) - own_lb
-        if placed.size:
-            sched_terms = m * np.maximum(
-                last_placed[None, :, :], rlo[cand][:, None, None]
-            )
-            sched_terms -= placed_lb
-            inner = np.maximum(sched_terms.max(axis=2), own)
-        else:
-            inner = own
-        score = inner + m * inst.p_array[:, cand].T
-        score = np.ascontiguousarray(score.T)  # (m, V) to match the tie helper
-
-        def gap(machine: int, job: int) -> int:
-            if not placed.size:
-                return 0
-            gaps = last_placed[machine] - rhi[job]
-            return int(np.maximum(gaps, 0).sum())
-
-        job, machine = _argmin_with_gap_tie(score, cand, gap)
-        state.place(job, machine)
-    return state.to_schedule()
+    return _partial_regret(inst, (config or HeuristicConfig()).bound_mode, True)
 
 
 def build_schedule(inst: Instance, config: HeuristicConfig) -> Schedule:

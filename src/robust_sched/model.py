@@ -354,13 +354,6 @@ def extreme_scenarios(inst: Instance) -> list[Scenario]:
     return [extreme_scenario(inst, j) for j in range(inst.n)]
 
 
-def extreme_release_matrix(inst: Instance) -> np.ndarray:
-    """Row ``j`` is the release vector of the extreme scenario raising job j."""
-    rows = np.tile(inst.release_lo, (inst.n, 1))
-    np.fill_diagonal(rows, inst.release_hi)
-    return rows
-
-
 def makespans_for_release_rows(
     schedule: Schedule, inst: Instance, release_rows: np.ndarray
 ) -> np.ndarray:

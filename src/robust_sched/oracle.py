@@ -10,9 +10,9 @@ regret objective has no per-machine ordering rule.
 
 Results carry a ``certified`` flag: a search cut short by ``time_budget``
 returns its incumbent flagged ``False``. The budget is the wall clock of the
-call made: every search inside one ``exact_worst_case_regret`` or
-``exhaustive_min_regret`` shares one deadline, read before each search
-starts.
+call made: every search inside one ``exact_worst_case_regret``,
+``grid_regret`` or ``exhaustive_min_regret`` shares one deadline, read
+before each search starts.
 """
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ from .model import (
     RegretReport,
     Scenario,
     Schedule,
-    covered_jobs,
+    covered_mask,
     ensure_scenario,
     ensure_valid_schedule,
-    extreme_release_matrix,
+    extreme_makespans,
     extreme_scenario,
     makespans_for_release_rows,
 )
@@ -89,6 +89,8 @@ class _Deadline:
 
     ``check`` reads the clock once every 1024 calls, for search loops with
     cheap steps; ``check_now`` reads it at once, before a search starts.
+    Both raise ``_BudgetExhausted`` past the deadline; ``expired`` returns
+    the answer instead, for loops that keep their partial result.
     """
 
     def __init__(self, budget: float | None):
@@ -104,8 +106,11 @@ class _Deadline:
         self.check_now()
 
     def check_now(self) -> None:
-        if self._deadline is not None and time.monotonic() >= self._deadline:
+        if self.expired():
             raise _BudgetExhausted
+
+    def expired(self) -> bool:
+        return self._deadline is not None and time.monotonic() >= self._deadline
 
 
 def _release_sorted_jobs(inst: Instance, scenario: Scenario) -> list[int]:
@@ -208,12 +213,19 @@ def optimal_makespan(
 
 
 def optimal_makespans_for_release_rows(
-    inst: Instance, release_rows: np.ndarray, limits: OracleLimits = DEFAULT_LIMITS
-) -> np.ndarray:
-    """Optimal makespan under every scenario row at once.
+    inst: Instance,
+    release_rows: np.ndarray,
+    limits: OracleLimits = DEFAULT_LIMITS,
+    *,
+    deadline: _Deadline | None = None,
+) -> tuple[np.ndarray, bool]:
+    """Optimal makespan under every scenario row at once, and whether the
+    enumeration finished.
 
     Enumerates all job-to-machine assignments and, per assignment, evaluates
     each machine's release-sorted chain vectorized over the scenario rows.
+    ``deadline`` is read before every assignment after the first; past it,
+    the best makespans found so far come back with ``False``.
     """
     _check_limits(inst, limits)
     release_rows = np.asarray(release_rows, dtype=np.int64)
@@ -222,7 +234,9 @@ def optimal_makespans_for_release_rows(
         raise ValueError("scenario rows do not match the job count")
     p = inst.p_array
     best = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
-    for assignment in itertools.product(range(inst.m), repeat=n):
+    for tried, assignment in enumerate(itertools.product(range(inst.m), repeat=n)):
+        if tried and deadline is not None and deadline.expired():
+            return best, False
         worst = np.zeros(count, dtype=np.int64)
         for i in range(inst.m):
             jobs = np.array(
@@ -239,7 +253,7 @@ def optimal_makespans_for_release_rows(
                 current = np.maximum(current, rel[:, k]) + proc[:, k]
             np.maximum(worst, current, out=worst)
         np.minimum(best, worst, out=best)
-    return best
+    return best, True
 
 
 def exact_worst_case_regret(
@@ -259,13 +273,10 @@ def exact_worst_case_regret(
     _check_limits(inst, limits)
     ensure_valid_schedule(schedule, inst)
     deadline = _Deadline(limits.time_budget)
-    values = makespans_for_release_rows(
-        schedule, inst, extreme_release_matrix(inst)
-    )
+    values = extreme_makespans(schedule, inst).tolist()
     jobs = range(inst.n)
     if effective_only:
-        skip = covered_jobs(schedule, inst)
-        jobs = [j for j in jobs if j not in skip]
+        jobs = np.flatnonzero(~covered_mask(schedule, inst)).tolist()
     per_scenario: dict[int, int] = {}
     certified = True
     for j in jobs:
@@ -273,7 +284,7 @@ def exact_worst_case_regret(
             inst, extreme_scenario(inst, j), limits, deadline=deadline
         )
         certified = certified and opt.certified
-        per_scenario[j] = int(values[j]) - opt.makespan
+        per_scenario[j] = values[j] - opt.makespan
     best_job = max(per_scenario, key=lambda j: (per_scenario[j], -j))
     return RegretReport(
         value=per_scenario[best_job],
@@ -307,12 +318,16 @@ def grid_regret(
 
     Each interval is sampled at ``grid_points`` evenly spaced values with both
     endpoints included, so every extreme scenario is a grid corner. Intended
-    as an independent cross-check of the extreme-scenario reduction.
+    as an independent cross-check of the extreme-scenario reduction. The
+    enumeration stops at ``limits.time_budget``; cut short, the report is
+    uncertified and its value, scored against the best makespans found so
+    far, is at most the full grid's.
     """
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points per interval")
     _check_limits(inst, limits)
     ensure_valid_schedule(schedule, inst)
+    deadline = _Deadline(limits.time_budget)
 
     axes = [_grid_points(lo, hi, grid_points) for lo, hi in inst.release]
     total = 1
@@ -324,13 +339,16 @@ def grid_regret(
             )
     rows = np.array(list(itertools.product(*axes)), dtype=np.int64)
     values = makespans_for_release_rows(schedule, inst, rows)
-    optima = optimal_makespans_for_release_rows(inst, rows, limits)
+    optima, certified = optimal_makespans_for_release_rows(
+        inst, rows, limits, deadline=deadline
+    )
     regrets = values - optima
     at = int(np.argmax(regrets))
     return RegretReport(
         value=int(regrets[at]),
         scenario=Scenario(r=tuple(int(v) for v in rows[at])),
         per_scenario={},
+        certified=certified,
     )
 
 
@@ -354,6 +372,7 @@ def exhaustive_min_regret(
     _check_limits(inst, limits)
     n, m = inst.n, inst.m
     p = inst.p
+    lo, hi = inst.release_lo.tolist(), inst.release_hi.tolist()
 
     deadline = _Deadline(limits.time_budget)
     optima = [
@@ -362,8 +381,6 @@ def exhaustive_min_regret(
     ]
     opts = [result.makespan for result in optima]
     certified = all(result.certified for result in optima)
-
-    extreme_release = extreme_release_matrix(inst)  # row t, column j
 
     machines: list[list[int]] = [[] for _ in range(m)]
     # last[i][t]: completion of machine i's sequence under extreme scenario t
@@ -397,11 +414,11 @@ def exhaustive_min_regret(
         if machine < m - 1:
             dfs(machine + 1, remaining)
         for pick, job in enumerate(remaining):
-            saved = last[machine][:]
-            row = p[machine]
-            for t in range(n):
-                release = int(extreme_release[t, job])
-                last[machine][t] = row[job] + max(last[machine][t], release)
+            saved = last[machine]
+            cost = p[machine][job]
+            # scenario t releases the job at hi if t == job, else at lo
+            last[machine] = [cost + max(done, lo[job]) for done in saved]
+            last[machine][job] = cost + max(saved[job], hi[job])
             machines[machine].append(job)
             dfs(machine, remaining[:pick] + remaining[pick + 1 :])
             machines[machine].pop()
@@ -415,7 +432,7 @@ def exhaustive_min_regret(
     if best_machines is None:  # budget hit before the first leaf
         fallback = optima[0].schedule
         best_machines = fallback.machines
-        values = makespans_for_release_rows(fallback, inst, extreme_release)
+        values = extreme_makespans(fallback, inst)
         best_regret = max(map(operator.sub, values.tolist(), opts))
     return MinRegretResult(
         schedule=Schedule(machines=best_machines),

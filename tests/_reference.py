@@ -22,7 +22,6 @@ from robust_sched.bounds import scaled_combined_rows
 from robust_sched.model import (
     Scenario,
     ScheduleViolation,
-    extreme_release_matrix,
     makespans_for_release_rows,
 )
 
@@ -160,6 +159,13 @@ def reference_pre(p, intervals, short=False):
         placed.append(v)
         remaining.discard(v)
     return machines
+
+
+def extreme_release_matrix(inst):
+    """Row ``j`` is the release vector of the extreme scenario raising job j."""
+    rows = np.tile(inst.release_lo, (inst.n, 1))
+    np.fill_diagonal(rows, inst.release_hi)
+    return rows
 
 
 def reference_extreme_bounds(inst):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from robust_sched import io
+from robust_sched import GenParams, generate, io
 from robust_sched.cli import main
 from robust_sched.experiments import ExperimentSpec, render_markdown, run_benchmark
 from robust_sched.model import validate_schedule
@@ -186,6 +186,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "pass disjoint intervals: pm is optimal" in out
 
+    def test_budget_cut_grid_is_skipped_not_failed(self, tmp_path, capsys):
+        # the full 3-point grid at n=7, m=3 takes about a second
+        path = tmp_path / "seven.json"
+        inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
+        io.write_json(path, io.instance_to_dict(inst))
+        run(["check", "--instance", path, "--grid-points", "3",
+             "--time-budget", "0.001"])
+        out = capsys.readouterr().out
+        assert "skip extreme-scenario reduction (budget cut a search)" in out
+
     def test_limit_exceeded_on_large_instance(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         assert run(["generate", "--dataset", "DS1", "--n", "10", "--m", "2",
@@ -204,6 +214,13 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(dataset="DS1", n_values=(50,), m_values=(5,),
                            algorithms=("magic",))
+
+    def test_rejects_unknown_bound_mode_up_front(self):
+        # refused at construction, before any cell runs, even for pm alone
+        for algorithms in (("pm",), ("pm", "pr")):
+            with pytest.raises(ValueError, match="bound mode"):
+                ExperimentSpec(dataset="DS1", n_values=(50,), m_values=(5,),
+                               algorithms=algorithms, bound_mode="bogus")
 
     def test_rows_sorted_deterministically(self):
         spec = ExperimentSpec(

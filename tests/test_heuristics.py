@@ -5,13 +5,11 @@ import pytest
 from robust_sched import (
     HeuristicConfig,
     Instance,
-    availability_set,
     build_schedule,
     detect_disjoint,
     detect_dominant_job,
     exact_worst_case_regret,
     pm,
-    pm_indicator,
     pr,
     pre,
     relaxed_regret,
@@ -96,39 +94,40 @@ def dominant_job_instance(rng: random.Random, n: int, m: int) -> Instance:
     return Instance(p=p, release=tuple(release))
 
 
+# On one machine, pm's sequence is its placement order, so the first job of
+# the sequence is the job its selection rule ranks first.
+
+
 class TestAvailabilitySet:
     def test_disjoint_pair(self):
-        inst = Instance(p=((2, 2),), release=((0, 1), (5, 6)))
-        assert availability_set(inst, 0, {0, 1}) == frozenset()
-        assert availability_set(inst, 1, {0, 1}) == {0}
+        # job 1 may have job 0 ahead of it, whatever the index order
+        inst = Instance(p=((2, 2),), release=((5, 6), (0, 1)))
+        assert pm(inst).machines == ((1, 0),)
 
     def test_singleton(self):
-        inst = Instance(p=((2, 2),), release=((0, 1), (5, 6)))
-        assert availability_set(inst, 1, {1}) == frozenset()
-
-    def test_requires_membership(self):
-        inst = Instance(p=((2, 2),), release=((0, 1), (5, 6)))
-        with pytest.raises(ValueError):
-            availability_set(inst, 0, {1})
+        # jobs 1 and 2 may precede job 0; once job 1 is placed only job 2
+        # is left ahead of job 0, which ties job 2 and wins on its index
+        inst = Instance(p=((2, 2, 2),), release=((2, 4), (3, 3), (3, 3)))
+        assert pm(inst).machines == ((1, 0, 2),)
 
 
 class TestPmIndicator:
     def test_prefers_unobstructed_job(self):
         inst = Instance(p=((2, 2),), release=((0, 1), (5, 6)))
-        assert pm_indicator(inst, {0, 1}) == 0
+        assert pm(inst).machines == ((0, 1),)
 
     def test_full_tie_falls_to_lowest_index(self):
         inst = Instance(p=((3, 3, 3),), release=((0, 5),) * 3)
-        assert pm_indicator(inst, {0, 1, 2}) == 0
+        assert pm(inst).machines == ((0, 1, 2),)
 
     def test_singleton(self):
-        inst = Instance(p=((3, 3),), release=((0, 5), (0, 5)))
-        assert pm_indicator(inst, {1}) == 1
+        inst = Instance(p=((3,),), release=((0, 5),))
+        assert pm(inst).machines == ((0,),)
 
     def test_load_tie_break(self):
         # equal availability counts; job 1 sees only the light job 0 ahead
         inst = Instance(p=((1, 9),), release=((0, 4), (1, 4)))
-        assert pm_indicator(inst, {0, 1}) == 1
+        assert pm(inst).machines == ((1, 0),)
 
 
 class TestPm:

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from robust_sched import (
+    GenParams,
     Instance,
     LimitExceededError,
     OracleLimits,
@@ -11,16 +12,18 @@ from robust_sched import (
     Schedule,
     exact_worst_case_regret,
     exhaustive_min_regret,
+    generate,
     grid_regret,
     optimal_makespan,
     pm,
 )
-from robust_sched.model import extreme_release_matrix, extreme_scenario, makespan
+from robust_sched.model import extreme_scenario, makespan
 from robust_sched.oracle import (
     _grid_points,
     optimal_makespans_for_release_rows,
 )
 
+from _reference import extreme_release_matrix
 from _brute import (
     brute_min_regret,
     brute_optimal_makespan,
@@ -86,7 +89,8 @@ class TestOptimalMakespan:
         for _ in range(20):
             inst = random_instance(rng, rng.randint(1, 5), rng.randint(1, 3))
             rows = extreme_release_matrix(inst)
-            batch = optimal_makespans_for_release_rows(inst, rows)
+            batch, finished = optimal_makespans_for_release_rows(inst, rows)
+            assert finished
             for j in range(inst.n):
                 single = optimal_makespan(inst, Scenario(r=tuple(rows[j])))
                 assert int(batch[j]) == single.makespan
@@ -160,6 +164,20 @@ class TestGridRegret:
             grid = grid_regret(schedule, inst, 11)
             exact = exact_worst_case_regret(schedule, inst)
             assert grid.value == exact.value
+
+    def test_budget_cuts_the_grid_short(self):
+        # 3**7 assignments over 3**7 scenario rows: about a second in full
+        inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
+        schedule = pm(inst)
+        started = time.perf_counter()
+        cut = grid_regret(schedule, inst, 3, OracleLimits(time_budget=0.001))
+        elapsed = time.perf_counter() - started
+        full = grid_regret(schedule, inst, 3)
+        assert not cut.certified
+        assert elapsed < 0.1
+        assert cut.value <= full.value
+        assert full.certified
+        assert full.value == exact_worst_case_regret(schedule, inst).value
 
     def test_needs_two_points(self, hill_instance):
         with pytest.raises(ValueError):
