@@ -30,6 +30,7 @@ or one job whose upper release bound dominates everything else) on which the
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .bounds import scaled_combined_rows, scaled_extreme_bounds

@@ -100,7 +100,7 @@ def dominant_job_instance(rng: random.Random, n: int, m: int) -> Instance:
 
 class TestAvailabilitySet:
     def test_disjoint_pair(self):
-        # job 1 may have job 0 ahead of it, whatever the index order
+        # job 1 may precede job 0 but not the other way, so job 1 goes first
         inst = Instance(p=((2, 2),), release=((5, 6), (0, 1)))
         assert pm(inst).machines == ((1, 0),)
 
