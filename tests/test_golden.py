@@ -5,7 +5,9 @@ extreme-scenario kernels. Any rewrite of the bound kernel, the extreme
 makespans or the builders must reproduce them exactly: the same schedules,
 bit for bit, and the same exact report values. The DS1 n=1000 and DS2 n=80
 cases were frozen later, from the separate pr and pre builder loops, before
-those loops were merged.
+those loops were merged. The short-mode DS1 n=300 pr and n=150 pre cases
+were frozen from the argsort tensor bound kernel, before the short-sighted
+bounds moved onto the anchor kernel.
 """
 import hashlib
 import json
@@ -98,6 +100,12 @@ GOLDEN = {
     ),
     ("DS2", 80, 10, 1, "pre", "short"): (
         "09a754963ae15331", "bb8e504179967ca4", "6e3607331a622426"
+    ),
+    ("DS1", 300, 5, 0, "pr", "short"): (
+        "ddcf6692f45d97f1", "f4745f4249ee74de", "9f0e7b31cb92d993"
+    ),
+    ("DS1", 150, 5, 0, "pre", "short"): (
+        "bc7e5f2dc8aa0433", "dd8fab2cbc53d5a9", "9ce4770708e45539"
     ),
 }
 
