@@ -19,13 +19,20 @@ Subtracting the combined bound from a schedule's makespan under each extreme
 scenario yields the relaxed worst-case regret, an upper-bound surrogate for
 the exact worst-case regret that needs no optimal schedules.
 
-The combined bounds of all n extreme scenarios (``scaled_extreme_bounds``)
-come from the sorted all-lower-bounds base without building any scenario
-row: prefix and suffix maxima, binary searches and sparse tables of range
-maxima give them in O(n log n) time and memory. One family of terms, the
+One kernel, ``scaled_combined_rows``, gives the combined bounds of the
+builders, of the relaxed regret and of the oracle's prune. It takes a batch of q base job sets and, per base, r queries
+that each raise one member or insert one outsider, and answers them from the
+sorted base without building any scenario row: prefix and suffix maxima,
+binary searches and sparse tables of range maxima give them in O(q (s + r)
+log s) time and memory for bases of s jobs. One family of terms, the
 batched bounds of anchors inside a raised range that stay faster than the
-raised job, is evaluated in row blocks of bounded memory over the anchors
+moved job, is evaluated in row blocks of bounded memory over the anchors
 with fewer than ``(m - 1) * max p`` jobs, a handful on generated instances.
+The n extreme scenarios (``scaled_extreme_bounds``) are one base with every
+job raised in turn; the short-sighted heuristics and the oracle's suffix
+bounds are the batched cases. ``lb_combined`` reads all four bounds off its
+per-anchor table of one scenario.
+
 With the O(n + m) extreme makespans of :mod:`.model`, relaxed regret needs
 no n x n array at any size. Its ``effective_only`` mode drops the covered
 jobs, which :mod:`.model` reads off the same base chain as the makespans,
@@ -68,218 +75,204 @@ class BoundsReport:
     per_job: dict[int, tuple[Fraction, int]]
 
 
-def _suffix_counts_desc(sorted_desc: np.ndarray) -> np.ndarray:
-    """For each position of a descending-sorted row set, the count of entries
-    greater than or equal to the entry at that position (ties included)."""
-    q, s = sorted_desc.shape
-    last = np.empty((q, s), dtype=bool)
-    last[:, -1] = True
-    last[:, :-1] = sorted_desc[:, 1:] < sorted_desc[:, :-1]
-    idx = np.broadcast_to(np.arange(s, dtype=np.int64), (q, s))
-    marker = np.where(last, idx, s - 1)
-    closing = np.minimum.accumulate(marker[:, ::-1], axis=1)[:, ::-1]
-    return closing + 1
-
-
-def scaled_bound_components(
-    release_rows: np.ndarray, min_proc_rows: np.ndarray, machine_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per row: all four bounds scaled by the machine count, as exact integers.
-
-    ``release_rows`` and ``min_proc_rows`` are matched ``(q, s)`` integer
-    arrays: one scenario per row over the same ``s`` jobs. Returns the scaled
-    ``(lb_avg, lb1, lb2, lb3)`` vectors.
-    """
-    release_rows = np.asarray(release_rows, dtype=np.int64)
-    min_proc_rows = np.asarray(min_proc_rows, dtype=np.int64)
-    if release_rows.ndim != 2 or release_rows.shape != min_proc_rows.shape:
-        raise ValueError("expected matched 2-d release/processing arrays")
-    # tie order within equal release dates is irrelevant: the suffix windows
-    # are value-based, so an unstable (faster) sort is safe
-    m = machine_count
-    order = np.argsort(-release_rows, axis=1)
-    rel = np.take_along_axis(release_rows, order, axis=1)
-    proc = np.take_along_axis(min_proc_rows, order, axis=1)
-
-    counts = _suffix_counts_desc(rel)
-    sums = np.cumsum(proc, axis=1)
-    mins = np.minimum.accumulate(proc, axis=1)
-    suffix_sum = np.take_along_axis(sums, counts - 1, axis=1)
-    suffix_min = np.take_along_axis(mins, counts - 1, axis=1)
-    batches = (counts + m - 1) // m
-
-    averaged = m * rel + suffix_sum
-    batched = m * (rel + batches * suffix_min)
-    lb_avg = m * release_rows.min(axis=1) + sums[:, -1]
-    lb1 = m * (release_rows + min_proc_rows).max(axis=1)
-    lb2 = averaged.max(axis=1)
-    lb3 = batched.max(axis=1)
-    return lb_avg, lb1, lb2, lb3
-
-
-def scaled_combined_rows(
-    release_rows: np.ndarray, min_proc_rows: np.ndarray, machine_count: int
-) -> np.ndarray:
-    """Per row, the combined bound scaled by the machine count."""
-    _, lb1_s, lb2_s, lb3_s = scaled_bound_components(
-        release_rows, min_proc_rows, machine_count
-    )
-    return np.maximum(np.maximum(lb1_s, lb2_s), lb3_s)
-
-
-def _single_row(scenario: Scenario, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    ensure_scenario(scenario, inst)
-    return scenario.r_array.reshape(1, -1), inst.min_proc.reshape(1, -1)
-
-
 def lb_avg(scenario: Scenario, inst: Instance) -> Fraction:
     """Earliest release date plus total fastest work averaged over machines."""
-    rel, proc = _single_row(scenario, inst)
-    scaled, _, _, _ = scaled_bound_components(rel, proc, inst.m)
-    return Fraction(int(scaled[0]), inst.m)
+    return lb_combined(scenario, inst).lb_avg
 
 
 def lb1(scenario: Scenario, inst: Instance) -> int:
     """Largest release date plus fastest processing time of a single job."""
-    rel, proc = _single_row(scenario, inst)
-    _, scaled, _, _ = scaled_bound_components(rel, proc, inst.m)
-    return int(scaled[0]) // inst.m
+    return lb_combined(scenario, inst).lb1
 
 
 def lb2(scenario: Scenario, inst: Instance) -> Fraction:
     """Best averaged bound over suffixes of jobs released at an anchor or later."""
-    rel, proc = _single_row(scenario, inst)
-    _, _, scaled, _ = scaled_bound_components(rel, proc, inst.m)
-    return Fraction(int(scaled[0]), inst.m)
+    return lb_combined(scenario, inst).lb2
 
 
 def lb3(scenario: Scenario, inst: Instance) -> int:
     """Best anchor release plus batched shortest processing time."""
-    rel, proc = _single_row(scenario, inst)
-    _, _, _, scaled = scaled_bound_components(rel, proc, inst.m)
-    return int(scaled[0]) // inst.m
+    return lb_combined(scenario, inst).lb3
 
 
 def lb_combined(scenario: Scenario, inst: Instance) -> BoundsReport:
     """All four bounds at once, with per-anchor diagnostics."""
     ensure_scenario(scenario, inst)
-    m = inst.m
-    release = scenario.r_array.reshape(1, -1)
-    proc = inst.min_proc.reshape(1, -1)
-    avg_s, lb1_s, lb2_s, lb3_s = scaled_bound_components(release, proc, m)
-
-    order = np.argsort(-release[0], kind="stable")
-    rel = release[0][order]
-    mp = proc[0][order]
-    counts = _suffix_counts_desc(rel.reshape(1, -1))[0]
-    sums = np.cumsum(mp)
-    mins = np.minimum.accumulate(mp)
-    per_job: dict[int, tuple[Fraction, int]] = {}
-    for pos, job in enumerate(order):
-        take = counts[pos] - 1
-        averaged = Fraction(int(m * rel[pos] + sums[take]), m)
-        batches = (int(counts[pos]) + m - 1) // m
-        batched = int(rel[pos]) + batches * int(mins[take])
-        per_job[int(job)] = (averaged, batched)
-
+    m, release, mp = inst.m, scenario.r_array, inst.min_proc
+    order = np.argsort(release, kind="stable")
+    # each job's suffix: the jobs from the first of its ties in release order
+    start = np.searchsorted(release[order], release)
+    sums = np.cumsum(mp[order][::-1])[::-1][start].tolist()
+    mins = np.minimum.accumulate(mp[order][::-1])[::-1][start].tolist()
+    counts, rel = (inst.n - start).tolist(), release.tolist()
+    per_job = {
+        j: (Fraction(m * rel[j] + sums[j], m), rel[j] + (counts[j] + m - 1) // m * mins[j])
+        for j in np.argsort(-release, kind="stable").tolist()
+    }
+    averaged, batched = map(max, zip(*per_job.values()))
+    single = int((release + mp).max())
     return BoundsReport(
-        lb_avg=Fraction(int(avg_s[0]), m),
-        lb1=int(lb1_s[0]) // m,
-        lb2=Fraction(int(lb2_s[0]), m),
-        lb3=int(lb3_s[0]) // m,
-        combined=Fraction(int(max(lb1_s[0], lb2_s[0], lb3_s[0])), m),
+        lb_avg=Fraction(m * int(release.min()) + int(mp.sum()), m),
+        lb1=single,
+        lb2=averaged,
+        lb3=batched,
+        combined=Fraction(max(single, averaged, batched)),
         per_job=per_job,
     )
 
 
-# element budget of one row block in scaled_extreme_bounds
+# element budget of one row block in scaled_combined_rows
 _BLOCK_ELEMENTS = 1 << 16
+_TOP = np.iinfo(np.int64).max
+
+
+def _count_before(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per query ``x[b, j]``, the number of entries of the ascending row
+    ``keys[b]`` below it."""
+    if keys.shape[0] == 1:
+        return np.searchsorted(keys[0], x[0])[None]
+    q, size = keys.shape
+    offset = np.arange(q)[:, None] * size - 1
+    found = np.zeros(x.shape, dtype=np.int64)
+    step = 1 << (size.bit_length() - 1)
+    while step:
+        probe = found + step
+        value = np.take(keys, np.minimum(probe, size) + offset)
+        found = np.where((probe <= size) & (value < x), probe, found)
+        step >>= 1
+    return found
 
 
 def _range_max(values: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Per query, the maximum of ``values[first:stop]`` (0 when empty), from
-    a sparse table of maxima over power-of-two windows."""
-    size = values.size
-    table = np.zeros((size.bit_length(), size), dtype=np.int64)
+    """Per query, the maximum of ``values[b, first[b, j]:stop[b, j]]`` (0 when
+    empty), from a sparse table of maxima over power-of-two windows."""
+    q, size = values.shape
+    table = np.zeros((size.bit_length(), q, size), dtype=np.int64)
     table[0] = values
     for level in range(1, table.shape[0]):
         width = 1 << (level - 1)
-        np.maximum(table[level - 1, :-width], table[level - 1, width:],
-                   out=table[level, : size - width])
+        np.maximum(table[level - 1, :, :-width], table[level - 1, :, width:],
+                   out=table[level, :, : size - width])
     length = stop - first
     level = np.frexp(np.maximum(length, 1))[1] - 1  # floor(log2(length))
-    left = np.minimum(first, size - 1)
-    right = np.maximum(stop - (1 << level), 0)
-    best = np.maximum(table[level, left], table[level, right])
-    return np.where(length > 0, best, 0)
+    row = (level * q + np.arange(q)[:, None]) * size
+    left = np.take(table, row + np.minimum(first, size - 1))
+    right = np.take(table, row + np.maximum(stop - (1 << level), 0))
+    return np.where(length > 0, np.maximum(left, right), 0)
+
+
+def scaled_combined_rows(
+    release: np.ndarray,
+    fastest: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    query_fastest: np.ndarray,
+    machine_count: int,
+) -> np.ndarray:
+    """Combined bound (scaled by m) of q job sets, each changed by r queries.
+
+    Base b holds the jobs with releases ``release[b]`` and fastest times
+    ``fastest[b]``, both ``(q, s)``. Query ``(lo, hi, query_fastest)[b, j]``,
+    all ``(q, r)``, changes base b in one of three ways: it raises a member
+    released at ``lo`` with that fastest time to ``hi``; it inserts an
+    outsider at ``hi`` when ``lo`` lies below every release of the base
+    (say -1); with ``hi == lo`` for a member, it keeps the base as it is.
+    Returns the ``(q, r)`` bounds.
+
+    Each base is reduced to its distinct release values (anchors),
+    descending, each with the count ``C``, sum ``P`` and minimum ``M`` of
+    the fastest times released at the anchor or later. A query adds its job
+    to the suffixes of the anchors in ``(lo, hi]``, adds the anchor ``hi``
+    and leaves every other anchor's terms unchanged. A raised member's
+    ``lo`` may stop being a release value; its term is then below the term
+    of the next value above it, which has the same suffix, so keeping it
+    changes no maximum.
+    """
+    m = machine_count
+    q, s = release.shape
+    f = query_fastest
+    order = np.argsort(-release, axis=1) + np.arange(q)[:, None] * s
+    rel = np.take(release, order)
+    proc = np.take(fastest, order)
+    ends = np.ones((q, s), dtype=bool)  # the last member of each tie group
+    ends[:, :-1] = rel[:, 1:] != rel[:, :-1]
+    row, pos = np.nonzero(ends)
+    col = np.arange(1, row.size + 1) - np.searchsorted(row, np.arange(q))[row]
+    # column 0 stands for the empty prefix above every anchor, columns 1..
+    # for the anchors and the columns past a base's last anchor for none
+    width = int(col.max(initial=0)) + 2
+    offset = np.arange(q)[:, None] * width
+    target = row * width + col
+
+    def anchors(values: np.ndarray, lead: int, pad: int) -> np.ndarray:
+        out = np.full((q, width), pad, dtype=np.int64)
+        out[:, 0] = lead
+        np.put(out, target, values)
+        return out
+
+    def at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return np.take(values, index + offset)
+
+    u = anchors(rel[ends], 0, 0)
+    key = anchors(-rel[ends], -_TOP, _TOP)  # ascending
+    count = anchors(pos + 1, 0, s)
+    total = anchors(np.cumsum(proc, axis=1)[ends], 0, 0)
+    least = anchors(np.minimum.accumulate(proc, axis=1)[ends], int(f.max(initial=0)), 0)
+
+    # anchors outside (lo, hi]: a prefix above hi, a suffix from lo
+    averaged = m * u + total
+    base = np.maximum(averaged, m * (u + (count + m - 1) // m * least))
+    above = np.maximum.accumulate(base, axis=1)
+    below = np.maximum.accumulate(base[:, ::-1], axis=1)[:, ::-1]
+    first = _count_before(key, -hi)  # the first anchor at most hi
+    stop = _count_before(key, -lo)  # the first anchor at most lo
+    best = np.maximum(at(above, first - 1), at(below, stop))
+
+    # the anchor hi: the base suffix of hi plus the query's job when it moved
+    at_hi = first - (at(key, first) != -hi)  # the last anchor at least hi
+    raised = hi > lo
+    c = at(count, at_hi) + raised
+    p_sum = at(total, at_hi) + np.where(raised, f, 0)
+    low = np.minimum(at(least, at_hi), f)
+    np.maximum(best, m * hi + p_sum, out=best)
+    np.maximum(best, m * (hi + (c + m - 1) // m * low), out=best)
+
+    # lb1: a raised member's own lo term is below its hi term, so keep it
+    top = np.max(release + fastest, axis=1, initial=-_TOP)
+    np.maximum(best, m * np.maximum(top[:, None], hi + f), out=best)
+
+    # anchors inside (lo, hi], which gain the job: the averaged terms and,
+    # from the first anchor whose minimum is at most its fastest time on,
+    # the batched ones
+    grown = (count + m) // m  # batches of C + 1 jobs
+    np.maximum(best, _range_max(averaged, first, stop) + f, out=best)
+    split = np.clip(_count_before(-least, -f), first, stop)
+    np.maximum(best, _range_max(m * (u + grown * least), split, stop), out=best)
+
+    # before the split the anchors' minima exceed f, so the batched term
+    # is m * (u + grown * f). It can only beat the averaged term of the same
+    # anchor, m * u + P + f with P >= C * (f + 1), while C < (m - 1) * f: a
+    # short prefix of the anchors. Its largest value is at most
+    # m * (u[first] + grown[split - 1] * f); only queries where that beats
+    # the best so far are evaluated, in row blocks.
+    span = int((count < (m - 1) * int(f.max(initial=0))).sum(axis=1).max())
+    reach = m * (at(u, first) + at(grown, split - 1) * f)
+    pair_b, pair_j = np.nonzero((split > first) & (first < span) & (reach > best))
+    cols = np.arange(span)
+    step = max(1, _BLOCK_ELEMENTS // max(span, 1))
+    for begin in range(0, pair_b.size, step):
+        b, j = pair_b[begin:begin + step], pair_j[begin:begin + step]
+        batched = m * (u[b, :span] + grown[b, :span] * f[b, j, None])
+        inside = (cols >= first[b, j, None]) & (cols < split[b, j, None])
+        best[b, j] = np.maximum(best[b, j], np.where(inside, batched, 0).max(axis=1))
+    return best
 
 
 def scaled_extreme_bounds(inst: Instance) -> np.ndarray:
-    """Combined bound (scaled by m) under each extreme scenario, by raised job.
-
-    The scenarios share the all-lower-bounds base, so no scenario row is
-    built. The base is reduced to its distinct release values (anchors),
-    descending, each with the count ``C``, sum ``P`` and minimum ``M`` of
-    the fastest processing times released at the anchor or later. Raising
-    job j from ``lo_j`` to ``hi_j`` adds j to the suffixes of the anchors in
-    ``(lo_j, hi_j]``, adds the anchor ``hi_j`` and leaves every other anchor's
-    terms unchanged. ``lo_j`` may stop being a release value of the
-    scenario; its term is then below the term of the next value above it,
-    which has the same suffix, so keeping it changes no maximum.
-    """
-    m = inst.m
-    lo, hi, mp = inst.release_lo, inst.release_hi, inst.min_proc
-    order = np.argsort(-lo, kind="stable")
-    lo_desc = lo[order]
-    ends = np.flatnonzero(np.append(lo_desc[1:] != lo_desc[:-1], True))
-    u = lo_desc[ends]
-    count = ends + 1
-    total = np.cumsum(mp[order])[ends]
-    least = np.minimum.accumulate(mp[order])[ends]
-
-    # anchors outside (lo_j, hi_j]: a prefix above hi_j, a suffix from lo_j
-    averaged = m * u + total
-    base = np.maximum(averaged, m * (u + (count + m - 1) // m * least))
-    above = np.concatenate(([0], np.maximum.accumulate(base)))
-    below = np.maximum.accumulate(base[::-1])[::-1]
-    first = np.searchsorted(-u, -hi, side="left")  # anchors above hi_j
-    stop = np.searchsorted(-u, -lo, side="left")  # anchors above lo_j
-    best = np.maximum(above[first], below[stop])
-
-    # the anchor hi_j: the base suffix of hi_j plus job j when it was raised
-    k = np.searchsorted(-u, -hi, side="right")
-    raised = hi > lo
-    c = np.concatenate(([0], count))[k] + raised
-    s = np.concatenate(([0], total))[k] + np.where(raised, mp, 0)
-    low = np.minimum(np.concatenate(([mp.max()], least))[k], mp)
-    np.maximum(best, m * hi + s, out=best)
-    np.maximum(best, m * (hi + (c + m - 1) // m * low), out=best)
-
-    # lb1: j's own term with lo_j is below the one with hi_j, so keep it
-    np.maximum(best, m * np.maximum((lo + mp).max(), hi + mp), out=best)
-
-    # anchors inside (lo_j, hi_j], which gain job j: the averaged terms and,
-    # from the first anchor whose minimum is at most mp_j on, the batched ones
-    grown = (count + m) // m  # batches of C + 1 jobs
-    np.maximum(best, _range_max(averaged, first, stop) + mp, out=best)
-    split = np.clip(np.searchsorted(-least, -mp, side="left"), first, stop)
-    np.maximum(best, _range_max(m * (u + grown * least), split, stop), out=best)
-
-    # before the split the batched term is m * (u + grown * mp_j). It can
-    # only beat the averaged term of the same anchor, m * u + P + mp_j with
-    # P >= C * (mp_j + 1), while C < (m - 1) * mp_j: a short prefix of the
-    # anchors, evaluated in row blocks.
-    width = int(np.searchsorted(count, (m - 1) * int(mp.max()), side="left"))
-    rows = np.flatnonzero((split > first) & (first < width))
-    cols = np.arange(width)
-    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    for begin in range(0, rows.size, step):
-        j = rows[begin:begin + step]
-        least_with_j = np.minimum(least[:width], mp[j, None])
-        batched = m * (u[:width] + grown[:width] * least_with_j)
-        inside = (cols >= first[j, None]) & (cols < split[j, None])
-        best[j] = np.maximum(best[j], np.where(inside, batched, 0).max(axis=1))
-    return best
+    """Combined bound (scaled by m) under each extreme scenario, by raised job:
+    the all-lower-bounds base with every job raised in turn."""
+    lo, mp = inst.release_lo[None], inst.min_proc[None]
+    return scaled_combined_rows(lo, mp, lo, inst.release_hi[None], mp, inst.m)[0]
 
 
 def relaxed_regret(

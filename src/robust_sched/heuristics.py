@@ -15,17 +15,22 @@ the end of some machine's sequence:
 
 ``pr`` and ``pre`` run one builder loop: ``pre``'s score is the larger of
 ``pr``'s and the placed-scenario term, and its ties use the gap summed over
-those scenarios. In short bound mode one helper builds the candidate's
-scenario row for ``pr`` and the placed jobs' rows as well for ``pre``.
+those scenarios. In short bound mode one helper asks the bound kernel for
+the placed jobs plus each candidate: with the candidate inserted for
+``pr``, and with every member of each such subset raised for ``pre``.
 
 All tie-breaking is deterministic (gap indicators, then lowest job index,
 then lowest machine index), so identical inputs give identical schedules.
 Bound terms are compared on values scaled by the machine count, which keeps
 tie detection exact for integer instances.
 
-Two polynomial-case detectors flag instances (pairwise disjoint intervals,
-or one job whose upper release bound dominates everything else) on which the
-``pm`` schedule is worst-case-regret optimal.
+Two polynomial-case detectors flag instances on which the ``pm`` schedule
+can be worst-case-regret optimal. With one job whose upper release bound
+dominates everything else it is. With pairwise disjoint intervals it is on
+one machine, and on several only when no job's upper release plus its
+slowest processing time passes the next interval's lower release: where
+processing spills over a gap, the minimum regret of any schedule can be
+positive.
 """
 from __future__ import annotations
 
@@ -172,30 +177,23 @@ def _short_bounds(
 
     Entry ``[c, t]`` is the bound of the subset ``placed + {cand[c]}`` under
     the extreme scenario raising its t-th member. Without ``nested`` only the
-    candidate's own scenario is built (one column); with it, every placed
-    job's scenario comes first and the candidate's sits in the last column.
-    All candidates are batched into one kernel call; the tensor stays small
-    because subsets only reach the job count.
+    candidate's own scenario is needed (one column): the placed jobs form one
+    base and each candidate is inserted at its upper release. With it, each
+    subset is a base of its own whose members are raised in turn, the
+    candidate last.
     """
-    count, s = cand.size, placed.size
-    width = s + 1
-    rows = width if nested else 1
-    release = np.empty((count, rows, width), dtype=np.int64)
-    release[:, :, :s] = inst.release_lo[placed]
-    release[:, :, s] = inst.release_lo[cand][:, None]
-    if nested:
-        diag = np.arange(s)
-        release[:, diag, diag] = inst.release_hi[placed]
-    release[:, -1, s] = inst.release_hi[cand]
-    proc = np.empty((count, width), dtype=np.int64)
-    proc[:, :s] = inst.min_proc[placed]
-    proc[:, s] = inst.min_proc[cand]
-    scaled = scaled_combined_rows(
-        release.reshape(count * rows, width),
-        np.repeat(proc, rows, axis=0),
-        inst.m,
-    )
-    return scaled.reshape(count, rows)
+    lo, hi, mp = inst.release_lo, inst.release_hi, inst.min_proc
+    if not nested:
+        outside = np.full((1, cand.size), -1)  # below every release
+        bounds = scaled_combined_rows(
+            lo[placed][None], mp[placed][None], outside, hi[cand][None],
+            mp[cand][None], inst.m,
+        )
+        return bounds.reshape(-1, 1)
+    jobs = np.empty((cand.size, placed.size + 1), dtype=np.int64)
+    jobs[:, :-1] = placed
+    jobs[:, -1] = cand
+    return scaled_combined_rows(lo[jobs], mp[jobs], lo[jobs], hi[jobs], mp[jobs], inst.m)
 
 
 def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:

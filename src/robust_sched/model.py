@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import index as as_int
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -460,16 +460,3 @@ def regret_upper_bound(schedule: Schedule, inst: Instance) -> int:
     terms = extreme_makespans(schedule, inst) - (inst.release_hi + inst.min_proc)
     return int(terms[~covered_mask(schedule, inst)].max(initial=0))
 
-
-def relabel_jobs(inst: Instance, permutation: Sequence[int]) -> Instance:
-    """Instance with job j renamed to ``permutation[j]`` (a bijection)."""
-    perm = list(permutation)
-    if sorted(perm) != list(range(inst.n)):
-        raise ValueError("permutation must be a bijection on job indices")
-    p_new = [[0] * inst.n for _ in range(inst.m)]
-    release_new: list[tuple[int, int]] = [(0, 0)] * inst.n
-    for j, target in enumerate(perm):
-        for i in range(inst.m):
-            p_new[i][target] = inst.p[i][j]
-        release_new[target] = inst.release[j]
-    return Instance(p=tuple(tuple(row) for row in p_new), release=tuple(release_new))

@@ -88,7 +88,8 @@ class _Deadline:
     """The wall clock of one budgeted call, shared by every search it runs.
 
     ``check`` reads the clock once every 1024 calls, for search loops with
-    cheap steps; ``check_now`` reads it at once, before a search starts.
+    cheap steps; ``check_now`` reads it at once, before a search starts or
+    at every step of a search whose steps are costly.
     Both raise ``_BudgetExhausted`` past the deadline; ``expired`` returns
     the answer instead, for loops that keep their partial result.
     """
@@ -120,15 +121,19 @@ def _release_sorted_jobs(inst: Instance, scenario: Scenario) -> list[int]:
 def _suffix_scaled_bounds(
     inst: Instance, scenario: Scenario, order: list[int]
 ) -> list[int]:
-    """Scaled combined bound of each suffix of the release-sorted job list."""
-    out = [0] * (len(order) + 1)
-    rel = scenario.r_array
-    for idx in range(len(order)):
-        jobs = np.array(order[idx:], dtype=np.int64)
-        row = rel[jobs].reshape(1, -1)
-        proc = inst.min_proc[jobs].reshape(1, -1)
-        out[idx] = int(scaled_combined_rows(row, proc, inst.m)[0])
-    return out
+    """Scaled combined bound of each suffix of the release-sorted job list,
+    0 for the empty one, from one kernel call: base t moves the jobs before
+    position t below ``-(max r + sum of fastest times)``, where all their
+    terms are negative."""
+    n = len(order)
+    rel, proc = scenario.r_array[order], inst.min_proc[order]
+    rows = np.tile(rel, (n, 1))
+    rows[np.tril_indices(n, -1)] = -(int(rel.max()) + int(proc.sum())) - 1
+    own = rel[:, None]  # base t keeps the job at position t where it is
+    bounds = scaled_combined_rows(
+        rows, np.tile(proc, (n, 1)), own, own, proc[:, None], inst.m
+    )
+    return bounds[:, 0].tolist() + [0]
 
 
 def optimal_makespan(
@@ -402,7 +407,7 @@ def exhaustive_min_regret(
 
     def dfs(machine: int, remaining: list[int]) -> None:
         nonlocal best_regret, best_machines
-        deadline.check()
+        deadline.check_now()  # a node costs O(n m)
         if not remaining:
             value = partial_regret()
             if best_regret is None or value < best_regret:

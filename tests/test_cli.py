@@ -196,6 +196,32 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "skip extreme-scenario reduction (budget cut a search)" in out
 
+    def test_spilling_disjoint_instance_is_skipped_not_failed(self, tmp_path, capsys):
+        # disjoint intervals on 3 machines where processing spills past the
+        # next lower release: the minimum regret of any schedule is 1
+        path = tmp_path / "spill.json"
+        io.write_json(path, {
+            "m": 3, "n": 4,
+            "p": [[9, 7, 7, 5], [6, 4, 3, 7], [9, 5, 3, 4]],
+            "release": [[19, 22], [25, 28], [3, 7], [11, 15]],
+        })
+        assert run(["check", "--instance", path]) == 0
+        out = capsys.readouterr().out
+        assert "skip disjoint intervals (processing spills over a gap)" in out
+        assert "fail" not in out
+
+    def test_every_line_reading_a_cut_search_is_skipped(self, small_instance_file, capsys):
+        # a zero budget leaves every search uncertified
+        assert run(["check", "--instance", small_instance_file,
+                    "--time-budget", "0"]) == 0
+        out = capsys.readouterr().out
+        for line in ("covered-job pruning keeps the maximum",
+                     "regret within [0, upper bound]",
+                     "lower bounds below the optimum",
+                     "relaxed regret dominates exact"):
+            assert f"skip {line} (budget cut a search)" in out
+        assert "pass" not in out and "fail" not in out
+
     def test_limit_exceeded_on_large_instance(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         assert run(["generate", "--dataset", "DS1", "--n", "10", "--m", "2",

@@ -17,9 +17,9 @@ from robust_sched import (
     relaxed_regret,
     validate_schedule,
 )
-from robust_sched.model import relabel_jobs
 
 from _brute import brute_lb1, brute_lb2, brute_lb3, brute_makespan
+from _reference import relabel_jobs
 from conftest import random_instance, random_valid_schedule
 
 

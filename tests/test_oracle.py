@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robust_sched import (
     GenParams,
@@ -26,6 +27,7 @@ from robust_sched.oracle import (
 from _reference import extreme_release_matrix
 from _brute import (
     brute_min_regret,
+    brute_min_regret_schedule,
     brute_optimal_makespan,
     brute_worst_regret,
 )
@@ -225,6 +227,22 @@ class TestExhaustiveMinRegret:
         best = exhaustive_min_regret(inst)
         assert best.regret == 0
         assert best.schedule.machines == ((0,), (1,))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_ties_go_to_the_smallest_schedule_hypothesis(self, data):
+        # small processing times and narrow windows make regret ties common
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        p = tuple(
+            tuple(data.draw(st.integers(1, 3)) for _ in range(n)) for _ in range(m)
+        )
+        lows = [data.draw(st.integers(0, 4)) for _ in range(n)]
+        release = tuple((lo, lo + data.draw(st.integers(0, 3))) for lo in lows)
+        inst = Instance(p=p, release=release)
+        best = exhaustive_min_regret(inst)
+        assert (best.regret, best.schedule.machines) == brute_min_regret_schedule(
+            inst.p, inst.release
+        )
 
 
 def slow_search_instance() -> Instance:

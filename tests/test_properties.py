@@ -16,7 +16,8 @@ from robust_sched import (
     relaxed_regret,
     validate_schedule,
 )
-from robust_sched.model import relabel_jobs
+
+from _reference import relabel_jobs
 
 
 @st.composite
