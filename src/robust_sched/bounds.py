@@ -137,7 +137,7 @@ def _count_before(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     step = 1 << (size.bit_length() - 1)
     while step:
         probe = found + step
-        value = np.take(keys, np.minimum(probe, size) + offset)
+        value = keys.take(np.minimum(probe, size) + offset)
         found = np.where((probe <= size) & (value < x), probe, found)
         step >>= 1
     return found
@@ -156,8 +156,8 @@ def _range_max(values: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.nd
     length = stop - first
     level = np.frexp(np.maximum(length, 1))[1] - 1  # floor(log2(length))
     row = (level * q + np.arange(q)[:, None]) * size
-    left = np.take(table, row + np.minimum(first, size - 1))
-    right = np.take(table, row + np.maximum(stop - (1 << level), 0))
+    left = table.take(row + np.minimum(first, size - 1))
+    right = table.take(row + np.maximum(stop - (1 << level), 0))
     return np.where(length > 0, np.maximum(left, right), 0)
 
 
@@ -191,9 +191,10 @@ def scaled_combined_rows(
     m = machine_count
     q, s = release.shape
     f = query_fastest
-    order = np.argsort(-release, axis=1) + np.arange(q)[:, None] * s
-    rel = np.take(release, order)
-    proc = np.take(fastest, order)
+    f_top = int(f.max(initial=0))
+    order = (-release).argsort(axis=1) + np.arange(q)[:, None] * s
+    rel = release.take(order)
+    proc = fastest.take(order)
     ends = np.ones((q, s), dtype=bool)  # the last member of each tie group
     ends[:, :-1] = rel[:, 1:] != rel[:, :-1]
     row, pos = np.nonzero(ends)
@@ -202,22 +203,20 @@ def scaled_combined_rows(
     # for the anchors and the columns past a base's last anchor for none
     width = int(col.max(initial=0)) + 2
     offset = np.arange(q)[:, None] * width
-    target = row * width + col
-
-    def anchors(values: np.ndarray, lead: int, pad: int) -> np.ndarray:
-        out = np.full((q, width), pad, dtype=np.int64)
-        out[:, 0] = lead
-        np.put(out, target, values)
-        return out
 
     def at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return np.take(values, index + offset)
+        return values.take(index + offset)
 
-    u = anchors(rel[ends], 0, 0)
-    key = anchors(-rel[ends], -_TOP, _TOP)  # ascending
-    count = anchors(pos + 1, 0, s)
-    total = anchors(np.cumsum(proc, axis=1)[ends], 0, 0)
-    least = anchors(np.minimum.accumulate(proc, axis=1)[ends], int(f.max(initial=0)), 0)
+    # per anchor: the release, its search key (ascending), and the count,
+    # sum and minimum of the fastest times released there or later
+    table = np.empty((5, q, width), dtype=np.int64)
+    table[:] = np.array([0, _TOP, s, 0, 0])[:, None, None]
+    table[:, :, 0] = np.array([0, -_TOP, 0, 0, f_top])[:, None]
+    table[:, row, col] = (
+        rel[ends], -rel[ends], pos + 1,
+        np.cumsum(proc, axis=1)[ends], np.minimum.accumulate(proc, axis=1)[ends],
+    )
+    u, key, count, total, least = table
 
     # anchors outside (lo, hi]: a prefix above hi, a suffix from lo
     averaged = m * u + total
@@ -231,23 +230,29 @@ def scaled_combined_rows(
     # the anchor hi: the base suffix of hi plus the query's job when it moved
     at_hi = first - (at(key, first) != -hi)  # the last anchor at least hi
     raised = hi > lo
-    c = at(count, at_hi) + raised
-    p_sum = at(total, at_hi) + np.where(raised, f, 0)
-    low = np.minimum(at(least, at_hi), f)
+    c, p_sum, low = table[2:].reshape(3, -1).take(at_hi + offset, axis=1)
+    c += raised
+    p_sum += f * raised
+    np.minimum(low, f, out=low)
     np.maximum(best, m * hi + p_sum, out=best)
     np.maximum(best, m * (hi + (c + m - 1) // m * low), out=best)
 
     # lb1: a raised member's own lo term is below its hi term, so keep it
-    top = np.max(release + fastest, axis=1, initial=-_TOP)
+    top = (release + fastest).max(axis=1, initial=-_TOP)
     np.maximum(best, m * np.maximum(top[:, None], hi + f), out=best)
 
     # anchors inside (lo, hi], which gain the job: the averaged terms and,
     # from the first anchor whose minimum is at most its fastest time on,
     # the batched ones
     grown = (count + m) // m  # batches of C + 1 jobs
-    np.maximum(best, _range_max(averaged, first, stop) + f, out=best)
     split = np.clip(_count_before(-least, -f), first, stop)
-    np.maximum(best, _range_max(m * (u + grown * least), split, stop), out=best)
+    inside = _range_max(
+        np.concatenate((averaged, m * (u + grown * least))),
+        np.concatenate((first, split)),
+        np.concatenate((stop, stop)),
+    )
+    np.maximum(best, inside[:q] + f, out=best)
+    np.maximum(best, inside[q:], out=best)
 
     # before the split the anchors' minima exceed f, so the batched term
     # is m * (u + grown * f). It can only beat the averaged term of the same
@@ -255,7 +260,7 @@ def scaled_combined_rows(
     # short prefix of the anchors. Its largest value is at most
     # m * (u[first] + grown[split - 1] * f); only queries where that beats
     # the best so far are evaluated, in row blocks.
-    span = int((count < (m - 1) * int(f.max(initial=0))).sum(axis=1).max())
+    span = int((count < (m - 1) * f_top).sum(axis=1).max())
     reach = m * (at(u, first) + at(grown, split - 1) * f)
     pair_b, pair_j = np.nonzero((split > first) & (first < span) & (reach > best))
     cols = np.arange(span)

@@ -118,20 +118,15 @@ def _argmin_with_gap_tie(
     """Pick (job, machine) minimizing ``score[(machine, cand_idx)]``.
 
     Among tied cells the largest gap indicator wins, then the lowest job
-    index, then the lowest machine index.
+    index, then the lowest machine index. ``gap_of`` maps arrays of tied
+    machines and jobs to their gap indicators.
     """
-    best = score.min()
-    ties = np.argwhere(score == best)
-    if len(ties) == 1:
-        machine, c = int(ties[0][0]), int(ties[0][1])
-        return int(cand[c]), machine
-    choice: tuple[int, int, int] | None = None
-    for machine, c in ties:
-        job = int(cand[c])
-        key = (-gap_of(int(machine), job), job, int(machine))
-        if choice is None or key < choice:
-            choice = key
-    return choice[1], choice[2]
+    machines, cols = np.nonzero(score == score.min())
+    jobs = cand[cols]
+    pick = 0
+    if jobs.size > 1:
+        pick = np.lexsort((machines, jobs, -gap_of(machines, jobs)))[0]
+    return int(jobs[pick]), int(machines[pick])
 
 
 def pm(inst: Instance) -> Schedule:
@@ -241,14 +236,14 @@ def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
                 terms -= placed_lb  # (m, V, s)
                 np.maximum(score, terms.max(axis=2) + m * proc, out=score)
 
-            def gap(machine: int, job: int) -> int:
-                gaps = last_placed[machine] - rhi[job]
-                return int(np.maximum(gaps, 0).sum())
+            def gap(machines: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+                gaps = last_placed[machines] - rhi[jobs][:, None]
+                return np.maximum(gaps, 0).sum(axis=1)
 
         else:
 
-            def gap(machine: int, job: int) -> int:
-                return max(int(base[machine]) - int(rhi[job]), 0)
+            def gap(machines: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+                return np.maximum(base[machines] - rhi[jobs], 0)
 
         job, machine = _argmin_with_gap_tie(score, cand, gap)
         state.place(job, machine)
