@@ -20,11 +20,12 @@ scenario yields the relaxed worst-case regret, an upper-bound surrogate for
 the exact worst-case regret that needs no optimal schedules.
 
 One kernel, ``scaled_combined_rows``, gives the combined bounds of the
-builders, of the relaxed regret and of the oracle's prune. It takes a batch of q base job sets and, per base, r queries
-that each raise one member or insert one outsider, and answers them from the
-sorted base without building any scenario row: prefix and suffix maxima,
-binary searches and sparse tables of range maxima give them in O(q (s + r)
-log s) time and memory for bases of s jobs. One family of terms, the
+builders, of the relaxed regret and of the oracle's prune. It takes a batch
+of q base job sets and, per base, r queries that each raise one member or
+insert one outsider, and answers them from the sorted bases without
+building any scenario row: prefix and suffix maxima, binary searches and
+sparse tables of range maxima give them in O(q (s + r) log s) time and
+memory for bases of s jobs. One family of terms, the
 batched bounds of anchors inside a raised range that stay faster than the
 moved job, is evaluated in row blocks of bounded memory over the anchors
 with fewer than ``(m - 1) * max p`` jobs, a handful on generated instances.
@@ -268,8 +269,8 @@ def scaled_combined_rows(
     for begin in range(0, pair_b.size, step):
         b, j = pair_b[begin:begin + step], pair_j[begin:begin + step]
         batched = m * (u[b, :span] + grown[b, :span] * f[b, j, None])
-        inside = (cols >= first[b, j, None]) & (cols < split[b, j, None])
-        best[b, j] = np.maximum(best[b, j], np.where(inside, batched, 0).max(axis=1))
+        within = (cols >= first[b, j, None]) & (cols < split[b, j, None])
+        best[b, j] = np.maximum(best[b, j], np.where(within, batched, 0).max(axis=1))
     return best
 
 

@@ -69,7 +69,8 @@ def test_kernel_matches_reference_hypothesis(case):
 
 def test_empty_base_and_single_job():
     # nothing placed yet: the bound of the inserted job alone
-    assert_queries_match(np.zeros((1, 0)), np.zeros((1, 0)), [[-1, -1]], [[4, 0]], [[3, 9]], 2)
+    empty = np.zeros((1, 0))
+    assert_queries_match(empty, empty, [[-1, -1]], [[4, 0]], [[3, 9]], 2)
     # one job, raised or kept, on one machine
     assert_queries_match([[5]], [[2]], [[5, 5]], [[5, 11]], [[2, 2]], 1)
 
