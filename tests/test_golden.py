@@ -7,7 +7,9 @@ bit for bit, and the same exact report values. The DS1 n=1000 and DS2 n=80
 cases were frozen later, from the separate pr and pre builder loops, before
 those loops were merged. The short-mode DS1 n=300 pr and n=150 pre cases
 were frozen from the argsort tensor bound kernel, before the short-sighted
-bounds moved onto the anchor kernel.
+bounds moved onto the anchor kernel. The full-mode pm and pr cases at DS1
+n=5000 and DS2 n=2000 were frozen from the dense per-iteration rescans,
+before those two builders became event-driven.
 """
 import hashlib
 import json
@@ -106,6 +108,18 @@ GOLDEN = {
     ),
     ("DS1", 150, 5, 0, "pre", "short"): (
         "bc7e5f2dc8aa0433", "dd8fab2cbc53d5a9", "9ce4770708e45539"
+    ),
+    ("DS1", 5000, 10, 0, "pm", "full"): (
+        "f23c026f4d947c25", "0b3373e7b52812c3", "ce6a1375f4765c96"
+    ),
+    ("DS1", 5000, 10, 0, "pr", "full"): (
+        "7538bdbeeefb0e27", "9121fb6a604a1b11", "9ba1bd46fbb83512"
+    ),
+    ("DS2", 2000, 20, 1, "pm", "full"): (
+        "49bf79dff153bb5b", "1d58ec23b76773ec", "6e645b5242d6b563"
+    ),
+    ("DS2", 2000, 20, 1, "pr", "full"): (
+        "87c431e9b389fd3e", "8d2fe8287338880e", "936c52bdd9542ae8"
     ),
 }
 
