@@ -153,8 +153,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, str]]:
-    """Run all property checks; return (status, description) pairs."""
+    """Run all property checks; return (status, description) pairs.
+
+    ``limits.time_budget`` is the wall clock of the whole battery: each
+    oracle call gets what is left of it, nothing once it has run out.
+    """
     results: list[tuple[str, str]] = []
+    started = time.monotonic()
+
+    def left() -> OracleLimits:
+        if limits.time_budget is None:
+            return limits
+        spent = time.monotonic() - started
+        return dataclasses.replace(
+            limits, time_budget=max(limits.time_budget - spent, 0.0)
+        )
+
     schedules = {
         "pm": pm(inst),
         "pr": build_schedule(inst, HeuristicConfig(algorithm="pr")),
@@ -164,7 +178,7 @@ def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, st
         schedules[f"random{seed}"] = random_schedule(inst, seed)
 
     exact = {
-        name: exact_worst_case_regret(schedule, inst, limits)
+        name: exact_worst_case_regret(schedule, inst, left())
         for name, schedule in schedules.items()
     }
 
@@ -172,11 +186,15 @@ def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, st
     for lo, hi in inst.release:
         grid_cells *= min(grid_points, hi - lo + 1)
     if grid_cells <= GRID_SCENARIO_LIMIT:
-        grids = {
-            name: grid_regret(schedule, inst, grid_points, limits)
-            for name, schedule in schedules.items()
-        }
-        if not all(grids[name].certified and exact[name].certified for name in grids):
+        grids = {}
+        for name, schedule in schedules.items():
+            if not exact[name].certified:
+                break
+            report = grid_regret(schedule, inst, grid_points, left())
+            if not report.certified:
+                break  # the line is skipped: spend no more of the budget on it
+            grids[name] = report
+        if len(grids) < len(schedules):
             results.append(("skip", "extreme-scenario reduction (budget cut a search)"))
         else:
             ok = all(grids[name].value == exact[name].value for name in grids)
@@ -187,11 +205,11 @@ def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, st
         results.append(("skip", "extreme-scenario reduction (grid too large)"))
 
     full = {
-        name: exact_worst_case_regret(s, inst, limits, effective_only=False)
+        name: exact_worst_case_regret(s, inst, left(), effective_only=False)
         for name, s in schedules.items()
     }
     scenarios = extreme_scenarios(inst) + [lower_scenario(inst)]
-    optima = [optimal_makespan(inst, scenario, limits) for scenario in scenarios]
+    optima = [optimal_makespan(inst, scenario, left()) for scenario in scenarios]
     bounds = [lb_combined(scenario, inst) for scenario in scenarios]
     pm_optimal = exact["pm"].value == 0
     checks = [

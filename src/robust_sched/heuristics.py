@@ -13,11 +13,19 @@ the end of some machine's sequence:
   worst partial-regret term over the extreme scenarios of all already placed
   jobs plus the candidate.
 
-``pr`` and ``pre`` run one builder loop: ``pre``'s score is the larger of
-``pr``'s and the placed-scenario term, and its ties use the gap summed over
-those scenarios. In short bound mode one helper asks the bound kernel for
-the placed jobs plus each candidate: with the candidate inserted for
-``pr``, and with every member of each such subset raised for ``pre``.
+``pm`` and full-mode ``pr`` are event-driven: ``pm`` keeps pointers and
+heaps over the release orders (Fenwick trees when point intervals compete
+with proper ones), full-mode ``pr`` a lazy heap and a presorted list per
+machine. A build costs O(n (m + log n)) for ``pm`` and O(n m log n) at
+worst for ``pr`` after its bound precompute, with no n x n array.
+Short-mode ``pr`` and ``pre`` run one builder loop that rescans the
+remaining candidates: ``pre``'s score is the larger of ``pr``'s and the
+placed-scenario term, and its ties use the gap summed over those
+scenarios. Only that loop keeps ``BuildState``'s (m, n+1) matrix of
+completions under every extreme scenario. In short bound mode one helper
+asks the bound kernel for the placed jobs plus each candidate: with the
+candidate inserted for ``pr``, and with every member of each such subset
+raised for ``pre``.
 
 All tie-breaking is deterministic (gap indicators, then lowest job index,
 then lowest machine index), so identical inputs give identical schedules.
@@ -34,6 +42,8 @@ positive.
 """
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +79,7 @@ class HeuristicConfig:
 
 
 class BuildState:
-    """A schedule under construction, with completion bookkeeping.
+    """A schedule under construction in the partial-regret loop.
 
     Tracks, per machine, the completion time of the current sequence under
     every extreme scenario and under the all-lower-bounds scenario, so the
@@ -129,40 +139,120 @@ def _argmin_with_gap_tie(
     return int(jobs[pick]), int(machines[pick])
 
 
+class _Fenwick:
+    """Prefix sums over positions 0..size-1 with point updates (Fenwick
+    1994, "A new data structure for cumulative frequency tables")."""
+
+    def __init__(self, values: list[int]):
+        tree = [0, *values]
+        for k in range(1, len(tree)):
+            parent = k + (k & -k)
+            if parent < len(tree):
+                tree[parent] += tree[k]
+        self.tree = tree
+
+    def add(self, pos: int, delta: int) -> None:
+        tree = self.tree
+        pos += 1
+        while pos < len(tree):
+            tree[pos] += delta
+            pos += pos & -pos
+
+    def prefix(self, end: int) -> int:
+        """Sum of positions ``0 .. end-1``."""
+        tree, total = self.tree, 0
+        while end:
+            total += tree[end]
+            end &= end - 1
+        return total
+
+
 def pm(inst: Instance) -> Schedule:
     """Availability-guided greedy construction on the makespan alone.
 
-    Each iteration schedules the job least likely to have work in front of it
-    and appends it to the machine where it finishes earliest under its own
-    extreme scenario.
+    Each iteration schedules the job least likely to have work in front of
+    it and appends it to the machine where it finishes earliest under its
+    own extreme scenario. Job j's key is the count and the summed ``sump``
+    (m times the mean processing time) of the other unplaced jobs released
+    below ``hi_j``, then j itself.
+
+    Both totals grow with ``hi_j``, so the winner is one of two jobs. Among
+    proper intervals (lo < hi) the smallest count belongs to every job whose
+    hi is at most L, the first unplaced lower release at or above the
+    smallest unplaced proper hi; they share count and load up to their own
+    ``sump``, so the largest ``sump``, then the lowest index, wins. L only
+    grows, so a pointer over the hi order fills a heap of these jobs. A
+    point interval (lo == hi) counts every unplaced point released before
+    it, so among points the smallest (hi, j) wins: the head of a heap. When
+    both winners exist, Fenwick trees over the lower-release order give
+    their exact keys. An iteration costs O(m + log n) amortized.
     """
     n = inst.n
-    state = BuildState(inst)
-    rlo, rhi = inst.release_lo, inst.release_hi
-    sump = inst.sum_proc
+    p = inst.p
+    lo, hi = inst.release_lo.tolist(), inst.release_hi.tolist()
+    sump = inst.sum_proc.tolist()
+    by_lo = sorted(range(n), key=lo.__getitem__)
+    lo_sorted = [lo[j] for j in by_lo]
+    proper = sorted((j for j in range(n) if lo[j] < hi[j]), key=hi.__getitem__)
+    points = [(hi[j], j) for j in range(n) if lo[j] == hi[j]]
+    heapq.heapify(points)
+    if points:
+        lo_rank = [0] * n
+        for k, j in enumerate(by_lo):
+            lo_rank[j] = k
+        count = _Fenwick([1] * n)
+        load = _Fenwick([sump[j] for j in by_lo])
 
-    earlier = rlo[None, :] < rhi[:, None]  # earlier[j, t]: t may precede j
-    np.fill_diagonal(earlier, False)
-    active = np.ones(n, dtype=bool)
-    avail_count = earlier.sum(axis=1)
-    avail_load = earlier @ sump  # scaled by m
-
+    active = [True] * n
+    base = [0] * inst.m
+    machines: list[list[int]] = [[] for _ in range(inst.m)]
+    first = 0  # proper[:first] are placed
+    nxt = 0  # by_lo[nxt]: the first unplaced job released at or above floor
+    eligible = 0  # proper[:eligible] went to the heap
+    heap: list[int] = []  # -sump * n + j: largest sump, then lowest index
     for _ in range(n):
-        cand = np.flatnonzero(active)
-        keys = zip(
-            avail_count[cand].tolist(), avail_load[cand].tolist(), cand.tolist()
-        )
-        job = min(keys)[2]
-        completions = inst.p_array[:, job] + np.maximum(
-            state.base_completions(), rhi[job]
-        )
-        machine = int(np.argmin(completions))
-        state.place(job, machine)
+        while first < len(proper) and not active[proper[first]]:
+            first += 1
+        job = None
+        if first < len(proper):
+            floor = hi[proper[first]]
+            while nxt < n and (lo_sorted[nxt] < floor or not active[by_lo[nxt]]):
+                nxt += 1
+            while eligible < len(proper) and (
+                nxt == n or hi[proper[eligible]] <= lo_sorted[nxt]
+            ):
+                j = proper[eligible]
+                if active[j]:
+                    heapq.heappush(heap, j - sump[j] * n)
+                eligible += 1
+            while not active[heap[0] % n]:
+                heapq.heappop(heap)
+            job = heap[0] % n
+        while points and not active[points[0][1]]:
+            heapq.heappop(points)
+        if points:
+            point = points[0][1]
+            if job is None:
+                job = point
+            else:
+                at_job = bisect_left(lo_sorted, hi[job])
+                at_point = bisect_left(lo_sorted, hi[point])
+                job_key = (
+                    count.prefix(at_job) - 1, load.prefix(at_job) - sump[job], job
+                )
+                point_key = (count.prefix(at_point), load.prefix(at_point), point)
+                job = min(job_key, point_key)[2]
+
+        release = hi[job]
+        done = [row[job] + (b if b > release else release) for row, b in zip(p, base)]
+        machine = done.index(min(done))
+        machines[machine].append(job)
+        base[machine] = max(base[machine], lo[job]) + p[machine][job]
         active[job] = False
-        affected = earlier[:, job] & active
-        avail_count[affected] -= 1
-        avail_load[affected] -= sump[job]
-    return state.to_schedule()
+        if points:
+            count.add(lo_rank[job], -1)
+            load.add(lo_rank[job], -sump[job])
+    return Schedule(machines=tuple(map(tuple, machines)))
 
 
 def _short_bounds(
@@ -192,7 +282,8 @@ def _short_bounds(
 
 
 def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
-    """The builder loop shared by ``pr`` (``nested`` false) and ``pre``.
+    """The builder loop shared by short-mode ``pr`` (``nested`` false) and
+    ``pre``.
 
     Every iteration scores each (machine, candidate) pair by ``m`` times the
     candidate's completion under its own extreme scenario minus the scaled
@@ -250,6 +341,82 @@ def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
     return state.to_schedule()
 
 
+def _pr_full(inst: Instance) -> Schedule:
+    """Full-mode ``pr`` with per-machine heads kept between iterations.
+
+    With ``b`` a machine's completion under the all-lower-bounds scenario,
+    job j scores ``m (p_ij + max(b, hi_j)) - LB_j`` with gap
+    ``max(b - hi_j, 0)``. Jobs with ``hi_j <= b`` order by
+    ``(m p_ij - LB_j, hi_j, j)``, which does not depend on b: a heap per
+    machine that a pointer over the hi order fills as b grows. The other
+    jobs order by ``(m (p_ij + hi_j) - LB_j, j)`` with gap 0: one list
+    sorted once per machine, which only loses jobs. Placed jobs leave both
+    lazily. A machine's best (score, -gap, job, machine) changes only when
+    its own b grows or its best job is placed, and the iteration takes the
+    smallest of the m bests: the order ``_argmin_with_gap_tie`` uses.
+    """
+    n, m = inst.n, inst.m
+    p = inst.p
+    lo, hi = inst.release_lo.tolist(), inst.release_hi.tolist()
+    lb_array = scaled_extreme_bounds(inst)
+    lb = lb_array.tolist()
+    by_hi = sorted(range(n), key=hi.__getitem__)
+    hi_sorted = [hi[j] for j in by_hi]
+    later = np.argsort(
+        m * (inst.p_array + inst.release_hi) - lb_array, axis=1, kind="stable"
+    ).tolist()
+    radix = (max(hi) + 1) * n  # heap entries encode (m p_ij - LB_j, hi_j, j)
+
+    active = [True] * n
+    base = [0] * m
+    moved = [0] * m  # by_hi[:moved[i]] went to machine i's heap
+    skipped = [0] * m  # later[i][:skipped[i]] are placed or moved
+    ready: list[list[int]] = [[] for _ in range(m)]
+    machines: list[list[int]] = [[] for _ in range(m)]
+
+    def fill(i: int) -> None:
+        k, b, row, heap = moved[i], base[i], p[i], ready[i]
+        while k < n and hi_sorted[k] <= b:
+            j = by_hi[k]
+            if active[j]:
+                heapq.heappush(heap, (m * row[j] - lb[j]) * radix + hi[j] * n + j)
+            k += 1
+        moved[i] = k
+
+    def head(i: int) -> tuple[int, int, int, int] | None:
+        b, row, heap, order = base[i], p[i], ready[i], later[i]
+        while heap and not active[heap[0] % n]:
+            heapq.heappop(heap)
+        k = skipped[i]
+        while k < n and (not active[order[k]] or hi[order[k]] <= b):
+            k += 1
+        skipped[i] = k
+        best = None
+        if heap:
+            j = heap[0] % n
+            best = (m * (row[j] + b) - lb[j], hi[j] - b, j, i)
+        if k < n:
+            j = order[k]
+            wait = (m * (row[j] + hi[j]) - lb[j], 0, j, i)
+            if best is None or wait < best:
+                best = wait
+        return best
+
+    for i in range(m):
+        fill(i)
+    heads = [head(i) for i in range(m)]
+    for _ in range(n):
+        _, _, job, machine = min(heads)
+        machines[machine].append(job)
+        active[job] = False
+        base[machine] = max(base[machine], lo[job]) + p[machine][job]
+        fill(machine)
+        for i in range(m):
+            if i == machine or heads[i][2] == job:
+                heads[i] = head(i)
+    return Schedule(machines=tuple(map(tuple, machines)))
+
+
 def pr(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
     """Partial-regret greedy construction.
 
@@ -257,9 +424,14 @@ def pr(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
     completion time minus the combined makespan bound of its extreme
     scenario. Tied pairs prefer the largest gap between the machine's current
     completion (all release dates low) and the job's latest release, closing
-    idle windows first.
+    idle windows first. Full bound mode keeps a lazy heap and a presorted
+    list per machine; each job enters each machine's heap at most once, so
+    a build costs O(n m log n) at worst after the bound precompute. Short
+    mode runs the shared partial-regret loop.
     """
-    return _partial_regret(inst, (config or HeuristicConfig()).bound_mode, False)
+    if (config or HeuristicConfig()).bound_mode == "full":
+        return _pr_full(inst)
+    return _partial_regret(inst, "short", False)
 
 
 def pre(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:

@@ -95,14 +95,21 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def regret_report_to_dict(report: RegretReport) -> dict:
+    # a relaxed report shares one Fraction among all jobs with equal terms,
+    # so each distinct term object is converted once
+    numbers: dict[int, int | float] = {}
+    per_scenario = {}
+    for job, term in report.per_scenario.items():
+        key = id(term)
+        if key not in numbers:
+            numbers[key] = _number(term)
+        per_scenario[str(job)] = numbers[key]
     return {
         "value": _number(report.value),
         "scenario": None
         if report.scenario is None
         else scenario_to_dict(report.scenario),
-        "perScenario": {
-            str(job): _number(term) for job, term in report.per_scenario.items()
-        },
+        "perScenario": per_scenario,
         "certified": report.certified,
     }
 

@@ -342,7 +342,8 @@ def grid_regret(
             raise LimitExceededError(
                 f"grid would hold more than {GRID_SCENARIO_LIMIT} scenarios"
             )
-    rows = np.array(list(itertools.product(*axes)), dtype=np.int64)
+    grids = np.meshgrid(*(np.array(a, dtype=np.int64) for a in axes), indexing="ij")
+    rows = np.stack(grids, axis=-1).reshape(total, inst.n)  # itertools.product order
     values = makespans_for_release_rows(schedule, inst, rows)
     optima, certified = optimal_makespans_for_release_rows(
         inst, rows, limits, deadline=deadline

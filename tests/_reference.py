@@ -12,6 +12,10 @@ per-job loops of schedule validation, covered jobs, effective scenarios and
 the regret upper bound, which the package now does in numpy or in one
 sorted comparison.
 
+``dense_pm`` and ``dense_pr`` are the dense per-iteration rescans that
+``pm`` and full-mode ``pr`` replaced: the differential references of the
+event-driven builders.
+
 The bound kernel's independent reference is the argsort path that sorts
 one explicit release row per scenario (``reference_bound_components``):
 ``reference_query_bounds`` spells out every query of the package's
@@ -25,9 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from robust_sched.bounds import scaled_extreme_bounds
 from robust_sched.model import (
     Instance,
     Scenario,
+    Schedule,
     ScheduleViolation,
     makespans_for_release_rows,
 )
@@ -166,6 +172,67 @@ def reference_pre(p, intervals, short=False):
         placed.append(v)
         remaining.discard(v)
     return machines
+
+
+def _schedule(machines):
+    return Schedule(machines=tuple(tuple(seq) for seq in machines))
+
+
+def dense_pm(inst):
+    """``pm`` as a dense rescan: an n x n ``earlier`` matrix gives every
+    job's count and load, decremented as jobs are placed, and each
+    iteration takes the minimum (count, load, job) over all candidates."""
+    n = inst.n
+    rlo, rhi = inst.release_lo, inst.release_hi
+    sump = inst.sum_proc
+    earlier = rlo[None, :] < rhi[:, None]  # earlier[j, t]: t may precede j
+    np.fill_diagonal(earlier, False)
+    active = np.ones(n, dtype=bool)
+    avail_count = earlier.sum(axis=1)
+    avail_load = earlier @ sump
+    base = np.zeros(inst.m, dtype=np.int64)
+    machines = [[] for _ in range(inst.m)]
+    for _ in range(n):
+        cand = np.flatnonzero(active)
+        keys = zip(
+            avail_count[cand].tolist(), avail_load[cand].tolist(), cand.tolist()
+        )
+        job = min(keys)[2]
+        completions = inst.p_array[:, job] + np.maximum(base, rhi[job])
+        machine = int(np.argmin(completions))
+        machines[machine].append(job)
+        base[machine] = max(base[machine], rlo[job]) + inst.p_array[machine, job]
+        active[job] = False
+        affected = earlier[:, job] & active
+        avail_count[affected] -= 1
+        avail_load[affected] -= sump[job]
+    return _schedule(machines)
+
+
+def dense_pr(inst):
+    """Full-mode ``pr`` as a dense rescan: every iteration scores the whole
+    (machine, candidate) grid and breaks ties on (largest gap, job,
+    machine)."""
+    m = inst.m
+    rhi = inst.release_hi
+    bounds = scaled_extreme_bounds(inst)
+    base = np.zeros(m, dtype=np.int64)
+    remaining = set(range(inst.n))
+    machines = [[] for _ in range(m)]
+    while remaining:
+        cand = np.array(sorted(remaining), dtype=np.int64)
+        completions = inst.p_array[:, cand] + np.maximum(base[:, None], rhi[cand])
+        score = m * completions - bounds[cand][None, :]
+        rows, cols = np.nonzero(score == score.min())
+        jobs = cand[cols]
+        gaps = np.maximum(base[rows] - rhi[jobs], 0)
+        pick = np.lexsort((rows, jobs, -gaps))[0]
+        job, machine = int(jobs[pick]), int(rows[pick])
+        machines[machine].append(job)
+        lo = inst.release_lo[job]
+        base[machine] = max(base[machine], lo) + inst.p_array[machine, job]
+        remaining.discard(job)
+    return _schedule(machines)
 
 
 def _suffix_counts_desc(sorted_desc):

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -195,6 +196,21 @@ class TestCheck:
              "--time-budget", "0.001"])
         out = capsys.readouterr().out
         assert "skip extreme-scenario reduction (budget cut a search)" in out
+
+    def test_time_budget_is_the_wall_clock_of_the_command(self, tmp_path, capsys):
+        # about 26 oracle calls share the one budget; with a fresh budget
+        # each, the command took about 0.5-0.9 s here
+        path = tmp_path / "seven.json"
+        inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
+        io.write_json(path, io.instance_to_dict(inst))
+        started = time.perf_counter()
+        assert run(["check", "--instance", path, "--time-budget", "0.01"]) == 0
+        elapsed = time.perf_counter() - started
+        lines = capsys.readouterr().out.splitlines()
+        assert elapsed < 0.4, elapsed
+        cut = [line for line in lines if line.endswith("(budget cut a search)")]
+        assert cut and all(line.startswith("skip ") for line in cut)
+        assert not any(line.startswith("fail") for line in lines)
 
     def test_spilling_disjoint_instance_is_skipped_not_failed(self, tmp_path, capsys):
         # disjoint intervals on 3 machines where processing spills past the
