@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bounds import relaxed_regret
 from .datagen import generate, params_for_dataset
-from .heuristics import _BOUND_MODES, HeuristicConfig, build_schedule
+from .heuristics import HeuristicConfig, build_schedule
 
 THREADS_ENV_VAR = "ROBUST_SCHED_THREADS"
 CSV_COLUMNS = (
@@ -49,16 +49,17 @@ class ExperimentSpec:
     seed_base: int = 0
 
     def __post_init__(self) -> None:
-        params_for_dataset(self.dataset, max(self.n_values, default=1), 1)
+        # a bad cell is refused here, before run_benchmark reaches it
         if not self.n_values or not self.m_values:
             raise ValueError("n and m grids must be nonempty")
+        for n in self.n_values:
+            for m in self.m_values:
+                params_for_dataset(self.dataset, n, m)
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         for name in self.algorithms:
-            if name not in _ALGORITHM_ORDER:
-                raise ValueError(f"unknown algorithm {name!r}")
-        if self.bound_mode not in _BOUND_MODES:
-            raise ValueError(f"unknown bound mode {self.bound_mode!r}")
+            HeuristicConfig(algorithm=name)
+        HeuristicConfig(algorithm="pr", bound_mode=self.bound_mode)
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
 

@@ -21,11 +21,12 @@ worst for ``pr`` after its bound precompute, with no n x n array.
 Short-mode ``pr`` and ``pre`` run one builder loop that rescans the
 remaining candidates: ``pre``'s score is the larger of ``pr``'s and the
 placed-scenario term, and its ties use the gap summed over those
-scenarios. Only that loop keeps ``BuildState``'s (m, n+1) matrix of
-completions under every extreme scenario. In short bound mode one helper
-asks the bound kernel for the placed jobs plus each candidate: with the
-candidate inserted for ``pr``, and with every member of each such subset
-raised for ``pre``.
+scenarios. The loop keeps each machine's all-lower-bounds completion,
+which is also its completion under the extreme scenario of any job not yet
+placed, and for ``pre`` an (m, n) array with one column per placed job, in
+placement order. In short bound mode one helper asks the bound kernel for
+the placed jobs plus each candidate: with the candidate inserted for
+``pr``, and with every member of each such subset raised for ``pre``.
 
 All tie-breaking is deterministic (gap indicators, then lowest job index,
 then lowest machine index), so identical inputs give identical schedules.
@@ -76,48 +77,6 @@ class HeuristicConfig:
             raise ValueError(f"unknown bound mode {self.bound_mode!r}")
         if self.algorithm == "pm" and self.bound_mode != "full":
             raise ValueError("bound_mode applies to pr/pre only")
-
-
-class BuildState:
-    """A schedule under construction in the partial-regret loop.
-
-    Tracks, per machine, the completion time of the current sequence under
-    every extreme scenario and under the all-lower-bounds scenario, so the
-    completion of a candidate appended next is a single max/add away.
-    """
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.remaining: set[int] = set(range(inst.n))
-        self.machines: list[list[int]] = [[] for _ in range(inst.m)]
-        self.placed_order: list[int] = []
-        # Column t < n: completion under the extreme scenario raising job t;
-        # column n: completion under the all-lower-bounds scenario.
-        self._last = np.zeros((inst.m, inst.n + 1), dtype=np.int64)
-
-    def base_completions(self) -> np.ndarray:
-        """Per machine, last completion under the all-lower-bounds scenario."""
-        return self._last[:, self.inst.n]
-
-    def completions_for_jobs(self, jobs: np.ndarray) -> np.ndarray:
-        """Per machine, last completion under the extreme scenarios of ``jobs``."""
-        return self._last[:, jobs]
-
-    def place(self, job: int, machine: int) -> None:
-        if job not in self.remaining:
-            raise ValueError(f"job {job + 1} is not available")
-        lo, hi = self.inst.release[job]
-        release = np.full(self.inst.n + 1, lo, dtype=np.int64)
-        release[job] = hi
-        row = self._last[machine]
-        np.maximum(row, release, out=row)
-        row += self.inst.p_array[machine, job]
-        self.machines[machine].append(job)
-        self.placed_order.append(job)
-        self.remaining.discard(job)
-
-    def to_schedule(self) -> Schedule:
-        return Schedule(machines=tuple(tuple(seq) for seq in self.machines))
 
 
 def _argmin_with_gap_tie(
@@ -295,29 +254,41 @@ def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
     machine's completion and the candidate's latest release: under the
     all-lower-bounds scenario for ``pr``, summed over the placed jobs'
     scenarios for ``pre``.
+
+    Under the extreme scenario of a job not yet placed every job placed so
+    far sits at its lower release, so every machine completes at ``base``,
+    its all-lower-bounds completion. Only the placed jobs' scenarios need
+    completions of their own: ``pre`` keeps one column per placed job.
     """
     n, m = inst.n, inst.m
-    state = BuildState(inst)
-    rlo, rhi = inst.release_lo, inst.release_hi
+    p, rlo, rhi = inst.p_array, inst.release_lo, inst.release_hi
     full_bounds = scaled_extreme_bounds(inst) if bound_mode == "full" else None
+    base = np.zeros(m, dtype=np.int64)
+    remaining = np.ones(n, dtype=bool)
+    order = np.empty(n, dtype=np.int64)
+    # Column k holds the completions under the k-th placed job's scenario.
+    # Placement order, not job index: last[:, :s] is then a C-ordered view
+    # with the placed axis innermost, and so is the (m, V, s) terms tensor
+    # that ``max(axis=2)`` reduces. A job-indexed gather ``last[:, placed]``
+    # comes back Fortran-ordered and makes that reduction strided.
+    last = np.empty((m, n), dtype=np.int64) if nested else None
+    machines: list[list[int]] = [[] for _ in range(m)]
 
-    for _ in range(n):
-        cand = np.array(sorted(state.remaining), dtype=np.int64)
-        base = state.base_completions()
-        if nested or full_bounds is None:
-            placed = np.array(state.placed_order, dtype=np.int64)
+    for s in range(n):
+        cand = np.flatnonzero(remaining)
+        placed = order[:s]
         if full_bounds is None:
             short = _short_bounds(inst, placed, cand, nested)  # (V, 1 or s+1)
             own_lb = short[:, -1]
         else:
             own_lb = full_bounds[cand]
-        proc = inst.p_array[:, cand]
+        proc = p[:, cand]
         completions = proc + np.maximum(base[:, None], rhi[cand][None, :])
         score = m * completions - own_lb[None, :]  # (m, V)
 
         if nested:
-            last_placed = state.completions_for_jobs(placed)  # (m, s)
-            if placed.size:
+            last_placed = last[:, :s]  # (m, s)
+            if s:
                 placed_lb = (
                     full_bounds[placed] if full_bounds is not None else short[:, :-1]
                 )
@@ -337,8 +308,17 @@ def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
                 return np.maximum(base[machines] - rhi[jobs], 0)
 
         job, machine = _argmin_with_gap_tie(score, cand, gap)
-        state.place(job, machine)
-    return state.to_schedule()
+        if nested:
+            last[:, s] = base
+            last[machine, s] = max(base[machine], rhi[job])
+            row = last[machine, : s + 1]  # column s is >= hi >= lo already
+            np.maximum(row, rlo[job], out=row)
+            row += p[machine, job]
+        base[machine] = max(base[machine], rlo[job]) + p[machine, job]
+        machines[machine].append(job)
+        order[s] = job
+        remaining[job] = False
+    return Schedule(machines=tuple(map(tuple, machines)))
 
 
 def _pr_full(inst: Instance) -> Schedule:

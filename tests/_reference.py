@@ -14,7 +14,10 @@ sorted comparison.
 
 ``dense_pm`` and ``dense_pr`` are the dense per-iteration rescans that
 ``pm`` and full-mode ``pr`` replaced: the differential references of the
-event-driven builders.
+event-driven builders. ``state_partial_regret`` with its ``BuildState`` is
+the partial-regret loop that kept an (m, n+1) matrix of completions under
+every extreme scenario: the differential reference of short ``pr`` and
+``pre``, which now keep one column per placed job.
 
 The bound kernel's independent reference is the argsort path that sorts
 one explicit release row per scenario (``reference_bound_components``):
@@ -30,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from robust_sched.bounds import scaled_extreme_bounds
+from robust_sched.heuristics import _argmin_with_gap_tie, _short_bounds
 from robust_sched.model import (
     Instance,
     Scenario,
@@ -233,6 +237,108 @@ def dense_pr(inst):
         base[machine] = max(base[machine], lo) + inst.p_array[machine, job]
         remaining.discard(job)
     return _schedule(machines)
+
+
+class BuildState:
+    """A schedule under construction in the partial-regret loop.
+
+    Tracks, per machine, the completion time of the current sequence under
+    every extreme scenario and under the all-lower-bounds scenario, so the
+    completion of a candidate appended next is a single max/add away.
+    """
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.remaining: set[int] = set(range(inst.n))
+        self.machines: list[list[int]] = [[] for _ in range(inst.m)]
+        self.placed_order: list[int] = []
+        # Column t < n: completion under the extreme scenario raising job t;
+        # column n: completion under the all-lower-bounds scenario.
+        self._last = np.zeros((inst.m, inst.n + 1), dtype=np.int64)
+
+    def base_completions(self) -> np.ndarray:
+        """Per machine, last completion under the all-lower-bounds scenario."""
+        return self._last[:, self.inst.n]
+
+    def completions_for_jobs(self, jobs: np.ndarray) -> np.ndarray:
+        """Per machine, last completion under the extreme scenarios of ``jobs``."""
+        return self._last[:, jobs]
+
+    def place(self, job: int, machine: int) -> None:
+        if job not in self.remaining:
+            raise ValueError(f"job {job + 1} is not available")
+        lo, hi = self.inst.release[job]
+        release = np.full(self.inst.n + 1, lo, dtype=np.int64)
+        release[job] = hi
+        row = self._last[machine]
+        np.maximum(row, release, out=row)
+        row += self.inst.p_array[machine, job]
+        self.machines[machine].append(job)
+        self.placed_order.append(job)
+        self.remaining.discard(job)
+
+    def to_schedule(self) -> Schedule:
+        return Schedule(machines=tuple(tuple(seq) for seq in self.machines))
+
+
+def state_partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
+    """The builder loop shared by short-mode ``pr`` (``nested`` false) and
+    ``pre``.
+
+    Every iteration scores each (machine, candidate) pair by ``m`` times the
+    candidate's completion under its own extreme scenario minus the scaled
+    bound of that scenario. With ``nested``, the score is the larger of that
+    and the worst term over the extreme scenarios of the placed jobs (the
+    candidate appended at its lower release); since both terms share the
+    ``m * p`` addend, this is the worst partial-regret term over all placed
+    jobs plus the candidate. Tied pairs prefer the largest gap between the
+    machine's completion and the candidate's latest release: under the
+    all-lower-bounds scenario for ``pr``, summed over the placed jobs'
+    scenarios for ``pre``.
+    """
+    n, m = inst.n, inst.m
+    state = BuildState(inst)
+    rlo, rhi = inst.release_lo, inst.release_hi
+    full_bounds = scaled_extreme_bounds(inst) if bound_mode == "full" else None
+
+    for _ in range(n):
+        cand = np.array(sorted(state.remaining), dtype=np.int64)
+        base = state.base_completions()
+        if nested or full_bounds is None:
+            placed = np.array(state.placed_order, dtype=np.int64)
+        if full_bounds is None:
+            short = _short_bounds(inst, placed, cand, nested)  # (V, 1 or s+1)
+            own_lb = short[:, -1]
+        else:
+            own_lb = full_bounds[cand]
+        proc = inst.p_array[:, cand]
+        completions = proc + np.maximum(base[:, None], rhi[cand][None, :])
+        score = m * completions - own_lb[None, :]  # (m, V)
+
+        if nested:
+            last_placed = state.completions_for_jobs(placed)  # (m, s)
+            if placed.size:
+                placed_lb = (
+                    full_bounds[placed] if full_bounds is not None else short[:, :-1]
+                )
+                terms = m * np.maximum(
+                    last_placed[:, None, :], rlo[cand][None, :, None]
+                )
+                terms -= placed_lb  # (m, V, s)
+                np.maximum(score, terms.max(axis=2) + m * proc, out=score)
+
+            def gap(machines: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+                gaps = last_placed[machines] - rhi[jobs][:, None]
+                return np.maximum(gaps, 0).sum(axis=1)
+
+        else:
+
+            def gap(machines: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+                return np.maximum(base[machines] - rhi[jobs], 0)
+
+        job, machine = _argmin_with_gap_tie(score, cand, gap)
+        state.place(job, machine)
+    return state.to_schedule()
 
 
 def _suffix_counts_desc(sorted_desc):

@@ -264,6 +264,15 @@ class TestExperimentSpecValidation:
                 ExperimentSpec(dataset="DS1", n_values=(50,), m_values=(5,),
                                algorithms=algorithms, bound_mode="bogus")
 
+    def test_rejects_every_bad_size_up_front(self):
+        # n = 5 has fewer jobs than DS1's 10 segments, though n = 100 is fine
+        with pytest.raises(ValueError, match="one job per segment"):
+            ExperimentSpec(dataset="DS1", n_values=(5, 100), m_values=(5,),
+                           algorithms=("pm",))
+        with pytest.raises(ValueError, match="one machine"):
+            ExperimentSpec(dataset="DS1", n_values=(50,), m_values=(0, 5),
+                           algorithms=("pm",))
+
     def test_rows_sorted_deterministically(self):
         spec = ExperimentSpec(
             dataset="DS1", n_values=(100, 50), m_values=(5,),
