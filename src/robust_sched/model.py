@@ -14,10 +14,11 @@ their lower bounds except a single job raised to its upper bound), which this
 module constructs and prunes.
 
 Scoring a fixed schedule runs no Python loop over its jobs. One per-machine
-pass chains the all-lower-bounds completions in numpy; the extreme makespans
-start from it, and a job is covered (its extreme scenario redundant) where
-its predecessor's completion in that chain reaches its upper release. A
-valid schedule passes validation with one sorted comparison.
+pass chains a scenario's completions in numpy: :func:`completion_profile`
+reads them, the extreme makespans start from the all-lower-bounds chain, and
+a job is covered (its extreme scenario redundant) where its predecessor's
+completion in that chain reaches its upper release. A valid schedule passes
+validation with one sorted comparison.
 
 Jobs and machines are indexed 0-based throughout the API; human-readable
 messages label them 1-based.
@@ -298,21 +299,15 @@ def completion_profile(
     """Chain completion times per machine and take the makespan.
 
     Each job starts at the later of its release date and its predecessor's
-    completion on the same machine; an empty machine contributes 0.
+    completion on the same machine; an empty machine contributes 0. The
+    closed form of :func:`_base_chains` gives every completion.
     """
     ensure_valid_schedule(schedule, inst)
     ensure_scenario(scenario, inst)
-    completions: list[tuple[int, ...]] = []
-    best = 0
-    for i, seq in enumerate(schedule.machines):
-        row = inst.p[i]
-        current = 0
-        times: list[int] = []
-        for job in seq:
-            current = row[job] + max(current, scenario.r[job])
-            times.append(current)
-        completions.append(tuple(times))
-        best = max(best, current)
+    completions: list[tuple[int, ...]] = [()] * inst.m
+    for i, _, _, _, done in _base_chains(schedule, inst, scenario.r_array):
+        completions[i] = tuple(done.tolist())
+    best = max((times[-1] for times in completions if times), default=0)
     return CompletionProfile(completions=tuple(completions), makespan=best)
 
 
@@ -369,18 +364,17 @@ def makespans_for_release_rows(
     return best
 
 
-def _base_chains(schedule: Schedule, inst: Instance):
-    """Per non-empty machine under the all-lower-bounds scenario: the
-    machine, its jobs in order, their processing times, the running work
-    total and the completions (the largest ``lo_t`` plus the work of jobs
-    t..k, the closed form of the chain rule)."""
-    lo = inst.release_lo
+def _base_chains(schedule: Schedule, inst: Instance, release: np.ndarray):
+    """Per non-empty machine under the releases ``release``: the machine, its
+    jobs in order, their processing times, the running work total and the
+    completions (the largest ``release_t`` plus the work of jobs t..k, the
+    closed form of the chain rule, exact for releases of at least 0)."""
     for i, seq in enumerate(schedule.machines):
         if seq:
             jobs = np.asarray(seq, dtype=np.int64)
             proc = inst.p_array[i, jobs]
             chain = np.cumsum(proc)
-            done = np.maximum.accumulate(lo[jobs] + proc - chain) + chain
+            done = np.maximum.accumulate(release[jobs] + proc - chain) + chain
             yield i, jobs, proc, chain, done
 
 
@@ -398,7 +392,7 @@ def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
     own = np.empty(inst.n, dtype=np.int64)  # makespan of the raised job's machine
     home = np.empty(inst.n, dtype=np.int64)
     finals = np.zeros(inst.m, dtype=np.int64)
-    for i, jobs, proc, chain, done in _base_chains(schedule, inst):
+    for i, jobs, proc, chain, done in _base_chains(schedule, inst, lo):
         finals[i] = done[-1]
         # map of the jobs after position k: x -> max(x + shift_k, floor_k)
         shift = chain[-1] - chain
@@ -418,7 +412,7 @@ def covered_mask(schedule: Schedule, inst: Instance) -> np.ndarray:
     :func:`covered_jobs`). The schedule must be valid."""
     covered = np.zeros(inst.n, dtype=bool)
     hi = inst.release_hi
-    for _, jobs, _, _, done in _base_chains(schedule, inst):
+    for _, jobs, _, _, done in _base_chains(schedule, inst, inst.release_lo):
         covered[jobs[1:]] = done[:-1] >= hi[jobs[1:]]
     return covered
 

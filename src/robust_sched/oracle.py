@@ -6,7 +6,8 @@ by nondecreasing release date (adjacent exchange argument), which reduces the
 deterministic problem to a search over job-to-machine assignments; that
 search runs depth first with an admissible lower-bound prune. The full
 minimax-regret optimum enumerates per-machine sequences outright, since the
-regret objective has no per-machine ordering rule.
+regret objective has no per-machine ordering rule. Both searches always
+prune, and no prune changes a result.
 
 Results carry a ``certified`` flag: a search cut short by ``time_budget``
 returns its incumbent flagged ``False``. The budget is the wall clock of the
@@ -56,6 +57,10 @@ class OracleLimits:
     max_jobs: int = 8
     max_machines: int = 3
     time_budget: float | None = None  # wall-clock seconds, None = unlimited
+
+    def __post_init__(self) -> None:
+        if self.time_budget is not None and self.time_budget < 0:
+            raise ValueError(f"time budget {self.time_budget} s is below 0")
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -141,7 +146,6 @@ def optimal_makespan(
     scenario: Scenario,
     limits: OracleLimits = DEFAULT_LIMITS,
     *,
-    prune: bool = True,
     deadline: _Deadline | None = None,
 ) -> OptimalMakespan:
     """Exact optimal makespan for one scenario, with an optimal schedule.
@@ -149,7 +153,8 @@ def optimal_makespan(
     Jobs are considered in release order, so any assignment explored already
     carries the optimal within-machine order. Subtrees are cut when the
     larger of the current load and the combined bound of the unassigned
-    suffix cannot beat the incumbent; pruning never changes the result.
+    suffix cannot beat the incumbent; pruning never changes the result, as
+    a test against the unpruned search of ``tests/_reference.py`` checks.
 
     The search stops at ``deadline``, the clock of an enclosing budgeted
     call, or else at ``limits.time_budget`` from now. Past it, the greedy
@@ -175,7 +180,6 @@ def optimal_makespan(
 
     if deadline is None:
         deadline = _Deadline(limits.time_budget)
-    suffix_bounds: list[int] = []
     loads = [0] * m
     stack: list[list[int]] = [[] for _ in range(m)]
 
@@ -187,11 +191,8 @@ def optimal_makespan(
                 best_value = current_max
                 best_machines = [tuple(seq) for seq in stack]
             return
-        if prune:
-            if current_max >= best_value:
-                return
-            if suffix_bounds[idx] >= m * best_value:
-                return
+        if current_max >= best_value or suffix_bounds[idx] >= m * best_value:
+            return
         job = order[idx]
         for i in range(m):
             finished = p[i][job] + max(loads[i], release[job])
@@ -205,8 +206,7 @@ def optimal_makespan(
     certified = True
     try:
         deadline.check_now()
-        if prune:
-            suffix_bounds = _suffix_scaled_bounds(inst, scenario, order)
+        suffix_bounds = _suffix_scaled_bounds(inst, scenario, order)
         dfs(0, 0)
     except _BudgetExhausted:
         certified = False
@@ -359,17 +359,14 @@ def grid_regret(
 
 
 def exhaustive_min_regret(
-    inst: Instance,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    *,
-    prune: bool = True,
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> MinRegretResult:
     """Schedule minimizing the exact worst-case regret, by full enumeration.
 
     Per-machine sequences are enumerated in lexicographic order of the
     schedule encoding, so ties resolve to the lexicographically smallest
     optimal schedule. The partial worst-case regret only grows as jobs are
-    appended, which gives the (optional, result-preserving) prune.
+    appended, which gives the result-preserving prune.
 
     The optima and the enumeration share one ``limits.time_budget``. Cut
     short before any complete schedule, the call returns the schedule found
@@ -415,7 +412,7 @@ def exhaustive_min_regret(
                 best_regret = value
                 best_machines = tuple(tuple(seq) for seq in machines)
             return
-        if prune and best_regret is not None and partial_regret() >= best_regret:
+        if best_regret is not None and partial_regret() >= best_regret:
             return
         if machine < m - 1:
             dfs(machine + 1, remaining)

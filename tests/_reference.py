@@ -12,6 +12,12 @@ per-job loops of schedule validation, covered jobs, effective scenarios and
 the regret upper bound, which the package now does in numpy or in one
 sorted comparison.
 
+``reference_optimal_makespan`` is the oracle's assignment search without
+its prune (the greedy incumbent, then every assignment depth first): the
+reference of the always-pruned ``optimal_makespan``.
+``reference_completion_profile`` is the scalar chain loop that
+``completion_profile`` replaced with the closed form of the chain rule.
+
 ``dense_pm`` and ``dense_pr`` are the dense per-iteration rescans that
 ``pm`` and full-mode ``pr`` replaced: the differential references of the
 event-driven builders. ``state_partial_regret`` with its ``BuildState`` is
@@ -35,11 +41,20 @@ import numpy as np
 from robust_sched.bounds import scaled_extreme_bounds
 from robust_sched.heuristics import _argmin_with_gap_tie, _short_bounds
 from robust_sched.model import (
+    CompletionProfile,
     Instance,
     Scenario,
     Schedule,
     ScheduleViolation,
+    ensure_scenario,
+    ensure_valid_schedule,
     makespans_for_release_rows,
+)
+from robust_sched.oracle import (
+    DEFAULT_LIMITS,
+    OptimalMakespan,
+    _check_limits,
+    _release_sorted_jobs,
 )
 
 from _brute import brute_lb1, brute_lb2, brute_lb3
@@ -339,6 +354,74 @@ def state_partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Sched
         job, machine = _argmin_with_gap_tie(score, cand, gap)
         state.place(job, machine)
     return state.to_schedule()
+
+
+def reference_optimal_makespan(inst, scenario):
+    """Optimal makespan for one scenario, with an optimal schedule: the
+    greedy incumbent, then a depth-first search over every assignment of
+    the release-sorted jobs, with no prune and no time budget."""
+    _check_limits(inst, DEFAULT_LIMITS)
+    ensure_scenario(scenario, inst)
+    n, m = inst.n, inst.m
+    order = _release_sorted_jobs(inst, scenario)
+    p = inst.p
+    release = scenario.r
+
+    # Greedy incumbent: earliest-completion machine per job, in release order.
+    loads = [0] * m
+    greedy: list[list[int]] = [[] for _ in range(m)]
+    for job in order:
+        completions = [p[i][job] + max(loads[i], release[job]) for i in range(m)]
+        i_best = min(range(m), key=lambda i: (completions[i], i))
+        loads[i_best] = completions[i_best]
+        greedy[i_best].append(job)
+    best_value = max(loads)
+    best_machines = [tuple(seq) for seq in greedy]
+
+    loads = [0] * m
+    stack: list[list[int]] = [[] for _ in range(m)]
+
+    def dfs(idx: int, current_max: int) -> None:
+        nonlocal best_value, best_machines
+        if idx == n:
+            if current_max < best_value:
+                best_value = current_max
+                best_machines = [tuple(seq) for seq in stack]
+            return
+        job = order[idx]
+        for i in range(m):
+            finished = p[i][job] + max(loads[i], release[job])
+            previous = loads[i]
+            loads[i] = finished
+            stack[i].append(job)
+            dfs(idx + 1, max(current_max, finished))
+            stack[i].pop()
+            loads[i] = previous
+
+    dfs(0, 0)
+    return OptimalMakespan(
+        makespan=best_value,
+        schedule=Schedule(machines=tuple(best_machines)),
+        certified=True,
+    )
+
+
+def reference_completion_profile(schedule, scenario, inst):
+    """Completion times per machine, chained job by job, and the makespan."""
+    ensure_valid_schedule(schedule, inst)
+    ensure_scenario(scenario, inst)
+    completions: list[tuple[int, ...]] = []
+    best = 0
+    for i, seq in enumerate(schedule.machines):
+        row = inst.p[i]
+        current = 0
+        times: list[int] = []
+        for job in seq:
+            current = row[job] + max(current, scenario.r[job])
+            times.append(current)
+        completions.append(tuple(times))
+        best = max(best, current)
+    return CompletionProfile(completions=tuple(completions), makespan=best)
 
 
 def _suffix_counts_desc(sorted_desc):

@@ -181,6 +181,3 @@ def test_pruned_optimal_makespan_makes_one_kernel_call(monkeypatch):
     inst = random_instance(random.Random(4), 8, 3)
     optimal_makespan(inst, Scenario(r=inst.release_lo.tolist()))
     assert calls == [(8, 8)]
-    calls.clear()
-    optimal_makespan(inst, Scenario(r=inst.release_lo.tolist()), prune=False)
-    assert calls == []

@@ -121,6 +121,20 @@ class TestEvaluate:
         diagnostic = json.loads(capsys.readouterr().err)
         assert diagnostic["error"] == "LimitExceededError"
 
+    def test_negative_time_budget_is_a_clean_error(
+        self, small_instance_file, tmp_path, capsys
+    ):
+        sched = self._schedule_file(tmp_path, small_instance_file)
+        capsys.readouterr()
+        assert run(["evaluate", "--instance", small_instance_file,
+                    "--schedule", sched, "--mode", "exact",
+                    "--time-budget", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diagnostic = json.loads(captured.err)
+        assert diagnostic["error"] == "ValueError"
+        assert "time budget" in diagnostic["message"]
+
     def test_report_written_to_file(self, small_instance_file, tmp_path):
         sched = self._schedule_file(tmp_path, small_instance_file)
         out = tmp_path / "report.json"
@@ -196,6 +210,20 @@ class TestCheck:
              "--time-budget", "0.001"])
         out = capsys.readouterr().out
         assert "skip extreme-scenario reduction (budget cut a search)" in out
+
+    def test_grid_too_large_is_skipped_not_failed(self, tmp_path, capsys):
+        # 5 points on each of 8 intervals of width 6 make 5**8 = 390,625
+        # scenarios, above the grid limit of 250,000
+        path = tmp_path / "wide.json"
+        io.write_json(path, {
+            "m": 1, "n": 8,
+            "p": [[3, 5, 2, 4, 6, 3, 2, 5]],
+            "release": [[4 * j, 4 * j + 6] for j in range(8)],
+        })
+        assert run(["check", "--instance", path, "--grid-points", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "skip extreme-scenario reduction (grid too large)" in out
+        assert "fail" not in out
 
     def test_time_budget_is_the_wall_clock_of_the_command(self, tmp_path, capsys):
         # about 26 oracle calls share the one budget; with a fresh budget

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from robust_sched import (
@@ -14,12 +16,15 @@ from robust_sched import (
     makespan,
     regret,
     regret_upper_bound,
+    pm,
+    random_schedule,
     relaxed_regret,
     validate_schedule,
 )
+from robust_sched.datagen import generate, params_for_dataset
 
 from _brute import brute_lb1, brute_lb2, brute_lb3, brute_makespan
-from _reference import relabel_jobs
+from _reference import reference_completion_profile, relabel_jobs
 from conftest import random_instance, random_valid_schedule
 
 
@@ -146,6 +151,28 @@ class TestCompletionProfile:
                 [list(seq) for seq in schedule.machines], inst.p, r
             )
             assert makespan(schedule, Scenario(r=tuple(r)), inst) == expected
+
+    @pytest.mark.parametrize("dataset", ["DS1", "DS2"])
+    @pytest.mark.parametrize("n", [500, 1000])
+    @pytest.mark.parametrize("m", [1, 5, 20])
+    def test_matches_scalar_chain_at_scale(self, dataset, n, m):
+        inst = generate(params_for_dataset(dataset, n, m), n + m)
+        rng = random.Random(n * m)
+        schedules = [pm(inst), random_schedule(inst, m)]
+        if m > 1:  # machine 0 left empty
+            schedules.append(Schedule(
+                machines=((),) + tuple(tuple(range(i, n, m - 1)) for i in range(m - 1))
+            ))
+        scenarios = [
+            lower_scenario(inst),
+            Scenario(r=inst.release_hi.tolist()),
+            Scenario(r=tuple(rng.randint(lo, hi) for lo, hi in inst.release)),
+        ]
+        for schedule in schedules:
+            for scenario in scenarios:
+                assert completion_profile(
+                    schedule, scenario, inst
+                ) == reference_completion_profile(schedule, scenario, inst)
 
 
 class TestRegret:

@@ -18,13 +18,13 @@ from robust_sched import (
     optimal_makespan,
     pm,
 )
-from robust_sched.model import extreme_scenario, makespan
+from robust_sched.model import extreme_scenario, extreme_scenarios, makespan
 from robust_sched.oracle import (
     _grid_points,
     optimal_makespans_for_release_rows,
 )
 
-from _reference import extreme_release_matrix
+from _reference import extreme_release_matrix, reference_optimal_makespan
 from _brute import (
     brute_min_regret,
     brute_min_regret_schedule,
@@ -67,13 +67,24 @@ class TestOptimalMakespan:
             )
 
     def test_pruning_does_not_change_anything(self, rng):
+        cases = []
         for _ in range(40):
             inst = random_instance(rng, rng.randint(1, 6), rng.randint(1, 3))
             r = [rng.randint(lo, hi) for lo, hi in inst.release]
-            scenario = Scenario(r=tuple(r))
-            pruned = optimal_makespan(inst, scenario, prune=True)
-            plain = optimal_makespan(inst, scenario, prune=False)
-            assert pruned == plain
+            cases.append((inst, Scenario(r=tuple(r))))
+        for seed in range(5):
+            inst = generate(GenParams(n=8, m=3, r_domain_hi=30, segments=2), seed)
+            cases.extend((inst, scenario) for scenario in extreme_scenarios(inst))
+        for inst, scenario in cases:
+            # equal makespan, schedule and certified flag
+            assert optimal_makespan(inst, scenario) == reference_optimal_makespan(
+                inst, scenario
+            )
+
+    def test_limits_refuse_a_negative_time_budget(self):
+        with pytest.raises(ValueError, match="time budget"):
+            OracleLimits(time_budget=-1.0)
+        assert OracleLimits(time_budget=0.0).time_budget == 0.0
 
     def test_budget_flags_uncertified(self):
         inst = Instance(
@@ -211,14 +222,6 @@ class TestExhaustiveMinRegret:
             )
             best = exhaustive_min_regret(inst)
             assert best.regret == brute_min_regret(inst.p, inst.release)
-
-    def test_prune_toggle_agrees(self, rng):
-        for _ in range(15):
-            inst = random_instance(rng, rng.randint(1, 4), rng.randint(1, 2))
-            pruned = exhaustive_min_regret(inst, prune=True)
-            plain = exhaustive_min_regret(inst, prune=False)
-            assert pruned.regret == plain.regret
-            assert pruned.schedule == plain.schedule
 
     def test_returns_lexicographically_smallest_optimum(self):
         # all-equal data: both one-job-per-machine schedules are
