@@ -41,6 +41,7 @@ from .model import (
     regret_upper_bound,
 )
 from .oracle import (
+    DEFAULT_LIMITS,
     GRID_SCENARIO_LIMIT,
     LimitExceededError,
     OracleLimits,
@@ -71,11 +72,8 @@ def _fail(kind: str, message: str) -> int:
 
 
 def _limits(args: argparse.Namespace) -> OracleLimits:
-    return OracleLimits(
-        max_jobs=args.max_jobs,
-        max_machines=args.max_machines,
-        time_budget=args.time_budget,
-    )
+    fields = dataclasses.fields(OracleLimits)
+    return OracleLimits(**{f.name: getattr(args, f.name) for f in fields})
 
 
 def _gen_params(args: argparse.Namespace) -> GenParams:
@@ -284,6 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the oracle flags of evaluate and check, defaulting to OracleLimits()
+    oracle_flags = argparse.ArgumentParser(add_help=False)
+    oracle_flags.add_argument("--grid-points", dest="grid_points", type=int, default=5)
+    oracle_flags.add_argument("--max-jobs", dest="max_jobs", type=int)
+    oracle_flags.add_argument("--max-machines", dest="max_machines", type=int)
+    oracle_flags.add_argument("--time-budget", dest="time_budget", type=float)
+    oracle_flags.set_defaults(**dataclasses.asdict(DEFAULT_LIMITS))
 
     gen = sub.add_parser("generate", help="draw a random instance file")
     gen.add_argument("--dataset", default="DS1", help="DS1, DS2 or custom")
@@ -308,16 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", help="schedule JSON output path")
     solve.set_defaults(handler=cmd_solve)
 
-    evaluate = sub.add_parser("evaluate", help="regret of a schedule")
+    evaluate = sub.add_parser(
+        "evaluate", parents=[oracle_flags], help="regret of a schedule"
+    )
     evaluate.add_argument("--instance", required=True)
     evaluate.add_argument("--schedule", required=True)
     evaluate.add_argument(
         "--mode", required=True, choices=("relaxed", "exact", "grid")
     )
-    evaluate.add_argument("--grid-points", dest="grid_points", type=int, default=5)
-    evaluate.add_argument("--max-jobs", dest="max_jobs", type=int, default=8)
-    evaluate.add_argument("--max-machines", dest="max_machines", type=int, default=3)
-    evaluate.add_argument("--time-budget", dest="time_budget", type=float)
     evaluate.add_argument("--out", help="report JSON output path")
     evaluate.set_defaults(handler=cmd_evaluate)
 
@@ -347,13 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(handler=cmd_bench)
 
     check = sub.add_parser(
-        "check", help="property battery on an enumeration-sized instance"
+        "check",
+        parents=[oracle_flags],
+        help="property battery on an enumeration-sized instance",
     )
     check.add_argument("--instance", required=True)
-    check.add_argument("--grid-points", dest="grid_points", type=int, default=5)
-    check.add_argument("--max-jobs", dest="max_jobs", type=int, default=8)
-    check.add_argument("--max-machines", dest="max_machines", type=int, default=3)
-    check.add_argument("--time-budget", dest="time_budget", type=float)
     check.set_defaults(handler=cmd_check)
     return parser
 

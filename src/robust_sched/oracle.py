@@ -13,7 +13,7 @@ Results carry a ``certified`` flag: a search cut short by ``time_budget``
 returns its incumbent flagged ``False``. The budget is the wall clock of the
 call made: every search inside one ``exact_worst_case_regret``,
 ``grid_regret`` or ``exhaustive_min_regret`` shares one deadline, read
-before each search starts.
+before each search starts and at every node of both searches.
 """
 from __future__ import annotations
 
@@ -59,8 +59,8 @@ class OracleLimits:
     time_budget: float | None = None  # wall-clock seconds, None = unlimited
 
     def __post_init__(self) -> None:
-        if self.time_budget is not None and self.time_budget < 0:
-            raise ValueError(f"time budget {self.time_budget} s is below 0")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(f"time budget {self.time_budget} s is not at least 0")
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -92,27 +92,16 @@ def _check_limits(inst: Instance, limits: OracleLimits) -> None:
 class _Deadline:
     """The wall clock of one budgeted call, shared by every search it runs.
 
-    ``check`` reads the clock once every 1024 calls, for search loops with
-    cheap steps; ``check_now`` reads it at once, before a search starts or
-    at every step of a search whose steps are costly.
-    Both raise ``_BudgetExhausted`` past the deadline; ``expired`` returns
-    the answer instead, for loops that keep their partial result.
+    ``check`` raises ``_BudgetExhausted`` past the deadline; ``expired``
+    returns the answer instead, for loops that keep their partial result.
+    Without a budget neither reads the clock.
     """
 
     def __init__(self, budget: float | None):
         self._deadline = None if budget is None else time.monotonic() + budget
-        self._tick = 0
 
-    def check(self) -> None:
-        if self._deadline is None:
-            return
-        self._tick += 1
-        if self._tick & 0x3FF:
-            return
-        self.check_now()
-
-    def check_now(self) -> None:
-        if self.expired():
+    def check(self) -> None:  # at every search node, so not through expired()
+        if self._deadline is not None and time.monotonic() >= self._deadline:
             raise _BudgetExhausted
 
     def expired(self) -> bool:
@@ -205,7 +194,7 @@ def optimal_makespan(
 
     certified = True
     try:
-        deadline.check_now()
+        deadline.check()
         suffix_bounds = _suffix_scaled_bounds(inst, scenario, order)
         dfs(0, 0)
     except _BudgetExhausted:
@@ -229,10 +218,13 @@ def optimal_makespans_for_release_rows(
 
     Enumerates all job-to-machine assignments and, per assignment, evaluates
     each machine's release-sorted chain vectorized over the scenario rows.
-    ``deadline`` is read before every assignment after the first; past it,
-    the best makespans found so far come back with ``False``.
+    The clock, ``deadline`` or else ``limits.time_budget`` from now, is read
+    before every assignment after the first; past it, the best makespans
+    found so far come back with ``False``.
     """
     _check_limits(inst, limits)
+    if deadline is None:
+        deadline = _Deadline(limits.time_budget)
     release_rows = np.asarray(release_rows, dtype=np.int64)
     count, n = release_rows.shape
     if n != inst.n:
@@ -240,7 +232,7 @@ def optimal_makespans_for_release_rows(
     p = inst.p_array
     best = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
     for tried, assignment in enumerate(itertools.product(range(inst.m), repeat=n)):
-        if tried and deadline is not None and deadline.expired():
+        if tried and deadline.expired():
             return best, False
         worst = np.zeros(count, dtype=np.int64)
         for i in range(inst.m):
@@ -368,6 +360,10 @@ def exhaustive_min_regret(
     optimal schedule. The partial worst-case regret only grows as jobs are
     appended, which gives the result-preserving prune.
 
+    Machines are filled in order and never revisited, and the regret of a
+    schedule is the largest regret of one of its machines, so the search
+    keeps one completion per extreme scenario and a node costs O(n).
+
     The optima and the enumeration share one ``limits.time_budget``. Cut
     short before any complete schedule, the call returns the schedule found
     for the first extreme scenario, scored against the optima at hand.
@@ -386,50 +382,35 @@ def exhaustive_min_regret(
     certified = all(result.certified for result in optima)
 
     machines: list[list[int]] = [[] for _ in range(m)]
-    # last[i][t]: completion of machine i's sequence under extreme scenario t
-    last = [[0] * n for _ in range(m)]
     best_regret: int | None = None
     best_machines: tuple[tuple[int, ...], ...] | None = None
 
-    def partial_regret() -> int:
-        worst = None
-        for t in range(n):
-            peak = 0
-            for i in range(m):
-                if last[i][t] > peak:
-                    peak = last[i][t]
-            term = peak - opts[t]
-            if worst is None or term > worst:
-                worst = term
-        return worst
-
-    def dfs(machine: int, remaining: list[int]) -> None:
+    def dfs(machine: int, remaining: list[int], floor: int, done: list[int]) -> None:
+        # floor: largest regret of a finished machine; done[t]: the current
+        # machine's completion under extreme scenario t
         nonlocal best_regret, best_machines
-        deadline.check_now()  # a node costs O(n m)
+        deadline.check()
+        value = max(floor, max(map(operator.sub, done, opts)))
         if not remaining:
-            value = partial_regret()
             if best_regret is None or value < best_regret:
                 best_regret = value
                 best_machines = tuple(tuple(seq) for seq in machines)
             return
-        if best_regret is not None and partial_regret() >= best_regret:
+        if best_regret is not None and value >= best_regret:
             return
         if machine < m - 1:
-            dfs(machine + 1, remaining)
+            dfs(machine + 1, remaining, value, [0] * n)
         for pick, job in enumerate(remaining):
-            saved = last[machine]
-            cost = p[machine][job]
+            cost, low = p[machine][job], lo[job]
             # scenario t releases the job at hi if t == job, else at lo
-            last[machine] = [cost + max(done, lo[job]) for done in saved]
-            last[machine][job] = cost + max(saved[job], hi[job])
+            appended = [cost + (finish if finish > low else low) for finish in done]
+            appended[job] = cost + max(done[job], hi[job])
             machines[machine].append(job)
-            dfs(machine, remaining[:pick] + remaining[pick + 1 :])
+            dfs(machine, remaining[:pick] + remaining[pick + 1 :], floor, appended)
             machines[machine].pop()
-            last[machine] = saved
 
     try:
-        deadline.check_now()
-        dfs(0, list(range(n)))
+        dfs(0, list(range(n)), -min(opts), [0] * n)  # an empty machine's regret
     except _BudgetExhausted:
         certified = False
     if best_machines is None:  # budget hit before the first leaf

@@ -15,6 +15,11 @@ sorted comparison.
 ``reference_optimal_makespan`` is the oracle's assignment search without
 its prune (the greedy incumbent, then every assignment depth first): the
 reference of the always-pruned ``optimal_makespan``.
+``reference_exhaustive_min_regret`` is the minimax-regret search that kept
+an (m, n) table of completions under every extreme scenario and rescanned
+it at each node: the reference of ``exhaustive_min_regret``, which keeps
+one completion per extreme scenario and the largest regret of the
+finished machines.
 ``reference_completion_profile`` is the scalar chain loop that
 ``completion_profile`` replaced with the closed form of the chain rule.
 
@@ -34,6 +39,7 @@ for the invariance tests, lives here too: the package never calls it.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -48,13 +54,20 @@ from robust_sched.model import (
     ScheduleViolation,
     ensure_scenario,
     ensure_valid_schedule,
+    extreme_makespans,
+    extreme_scenario,
     makespans_for_release_rows,
 )
 from robust_sched.oracle import (
     DEFAULT_LIMITS,
+    MinRegretResult,
     OptimalMakespan,
+    OracleLimits,
+    _BudgetExhausted,
     _check_limits,
+    _Deadline,
     _release_sorted_jobs,
+    optimal_makespan,
 )
 
 from _brute import brute_lb1, brute_lb2, brute_lb3
@@ -403,6 +416,92 @@ def reference_optimal_makespan(inst, scenario):
         makespan=best_value,
         schedule=Schedule(machines=tuple(best_machines)),
         certified=True,
+    )
+
+
+def reference_exhaustive_min_regret(
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+) -> MinRegretResult:
+    """Schedule minimizing the exact worst-case regret, by full enumeration.
+
+    Per-machine sequences are enumerated in lexicographic order of the
+    schedule encoding, so ties resolve to the lexicographically smallest
+    optimal schedule. The partial worst-case regret only grows as jobs are
+    appended, which gives the result-preserving prune.
+
+    The optima and the enumeration share one ``limits.time_budget``. Cut
+    short before any complete schedule, the call returns the schedule found
+    for the first extreme scenario, scored against the optima at hand.
+    """
+    _check_limits(inst, limits)
+    n, m = inst.n, inst.m
+    p = inst.p
+    lo, hi = inst.release_lo.tolist(), inst.release_hi.tolist()
+
+    deadline = _Deadline(limits.time_budget)
+    optima = [
+        optimal_makespan(inst, extreme_scenario(inst, j), limits, deadline=deadline)
+        for j in range(n)
+    ]
+    opts = [result.makespan for result in optima]
+    certified = all(result.certified for result in optima)
+
+    machines: list[list[int]] = [[] for _ in range(m)]
+    # last[i][t]: completion of machine i's sequence under extreme scenario t
+    last = [[0] * n for _ in range(m)]
+    best_regret: int | None = None
+    best_machines: tuple[tuple[int, ...], ...] | None = None
+
+    def partial_regret() -> int:
+        worst = None
+        for t in range(n):
+            peak = 0
+            for i in range(m):
+                if last[i][t] > peak:
+                    peak = last[i][t]
+            term = peak - opts[t]
+            if worst is None or term > worst:
+                worst = term
+        return worst
+
+    def dfs(machine: int, remaining: list[int]) -> None:
+        nonlocal best_regret, best_machines
+        deadline.check()  # a node costs O(n m)
+        if not remaining:
+            value = partial_regret()
+            if best_regret is None or value < best_regret:
+                best_regret = value
+                best_machines = tuple(tuple(seq) for seq in machines)
+            return
+        if best_regret is not None and partial_regret() >= best_regret:
+            return
+        if machine < m - 1:
+            dfs(machine + 1, remaining)
+        for pick, job in enumerate(remaining):
+            saved = last[machine]
+            cost = p[machine][job]
+            # scenario t releases the job at hi if t == job, else at lo
+            last[machine] = [cost + max(done, lo[job]) for done in saved]
+            last[machine][job] = cost + max(saved[job], hi[job])
+            machines[machine].append(job)
+            dfs(machine, remaining[:pick] + remaining[pick + 1 :])
+            machines[machine].pop()
+            last[machine] = saved
+
+    try:
+        deadline.check()
+        dfs(0, list(range(n)))
+    except _BudgetExhausted:
+        certified = False
+    if best_machines is None:  # budget hit before the first leaf
+        fallback = optima[0].schedule
+        best_machines = fallback.machines
+        values = extreme_makespans(fallback, inst)
+        best_regret = max(map(operator.sub, values.tolist(), opts))
+    return MinRegretResult(
+        schedule=Schedule(machines=best_machines),
+        regret=int(best_regret),
+        certified=certified,
     )
 
 

@@ -5,9 +5,10 @@ import time
 import pytest
 
 from robust_sched import GenParams, generate, io
-from robust_sched.cli import main
+from robust_sched.cli import _limits, build_parser, main
 from robust_sched.experiments import ExperimentSpec, render_markdown, run_benchmark
 from robust_sched.model import validate_schedule
+from robust_sched.oracle import OracleLimits
 
 
 def run(args):
@@ -129,6 +130,20 @@ class TestEvaluate:
         assert run(["evaluate", "--instance", small_instance_file,
                     "--schedule", sched, "--mode", "exact",
                     "--time-budget", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diagnostic = json.loads(captured.err)
+        assert diagnostic["error"] == "ValueError"
+        assert "time budget" in diagnostic["message"]
+
+    def test_nan_time_budget_is_a_clean_error(
+        self, small_instance_file, tmp_path, capsys
+    ):
+        sched = self._schedule_file(tmp_path, small_instance_file)
+        capsys.readouterr()
+        assert run(["evaluate", "--instance", small_instance_file,
+                    "--schedule", sched, "--mode", "exact",
+                    "--time-budget", "nan"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         diagnostic = json.loads(captured.err)
@@ -272,6 +287,27 @@ class TestCheck:
                     "--seed", "0", "--out", path]) == 0
         assert run(["check", "--instance", path]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "LimitExceededError"
+
+
+class TestOracleFlags:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--instance", "i.json", "--schedule", "s.json",
+         "--mode", "exact"],
+        ["check", "--instance", "i.json"],
+    ])
+    def test_defaults_are_the_default_limits(self, argv):
+        args = build_parser().parse_args(argv)
+        assert _limits(args) == OracleLimits()
+        assert args.grid_points == 5
+
+    def test_flags_reach_the_limits(self):
+        args = build_parser().parse_args(
+            ["check", "--instance", "i.json", "--max-jobs", "9",
+             "--max-machines", "4", "--time-budget", "0.5"]
+        )
+        assert _limits(args) == OracleLimits(
+            max_jobs=9, max_machines=4, time_budget=0.5
+        )
 
 
 class TestExperimentSpecValidation:

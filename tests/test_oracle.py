@@ -20,11 +20,16 @@ from robust_sched import (
 )
 from robust_sched.model import extreme_scenario, extreme_scenarios, makespan
 from robust_sched.oracle import (
+    DEFAULT_LIMITS,
     _grid_points,
     optimal_makespans_for_release_rows,
 )
 
-from _reference import extreme_release_matrix, reference_optimal_makespan
+from _reference import (
+    extreme_release_matrix,
+    reference_exhaustive_min_regret,
+    reference_optimal_makespan,
+)
 from _brute import (
     brute_min_regret,
     brute_min_regret_schedule,
@@ -86,6 +91,14 @@ class TestOptimalMakespan:
             OracleLimits(time_budget=-1.0)
         assert OracleLimits(time_budget=0.0).time_budget == 0.0
 
+    def test_limits_refuse_a_nan_time_budget(self):
+        with pytest.raises(ValueError, match="time budget"):
+            OracleLimits(time_budget=float("nan"))
+        # an infinite budget never expires, like no budget at all
+        inst = generate(GenParams(n=6, m=2, r_domain_hi=30, segments=2), 0)
+        endless = OracleLimits(time_budget=float("inf"))
+        assert exhaustive_min_regret(inst, endless) == exhaustive_min_regret(inst)
+
     def test_budget_flags_uncertified(self):
         inst = Instance(
             p=tuple(tuple(range(3, 11)) for _ in range(3)),
@@ -94,9 +107,9 @@ class TestOptimalMakespan:
         limits = OracleLimits(time_budget=0.0)
         result = optimal_makespan(inst, Scenario(r=tuple(range(8))), limits)
         assert not result.certified
-        assert result.makespan >= brute_optimal_makespan(
-            inst.p, list(range(8))
-        )
+        assert result.makespan >= reference_optimal_makespan(
+            inst, Scenario(r=tuple(range(8)))
+        ).makespan
 
     def test_batch_matches_single(self, rng):
         for _ in range(20):
@@ -107,6 +120,17 @@ class TestOptimalMakespan:
             for j in range(inst.n):
                 single = optimal_makespan(inst, Scenario(r=tuple(rows[j])))
                 assert int(batch[j]) == single.makespan
+
+    def test_batch_honours_the_limits_budget(self):
+        inst = generate(GenParams(n=8, m=3, r_domain_hi=30, segments=2), 0)
+        rows = extreme_release_matrix(inst)
+        cut, finished = optimal_makespans_for_release_rows(
+            inst, rows, OracleLimits(time_budget=0.0)
+        )
+        assert not finished
+        for j in range(inst.n):
+            exact = optimal_makespan(inst, Scenario(r=tuple(rows[j])))
+            assert int(cut[j]) >= exact.makespan
 
 
 class TestExactWorstCaseRegret:
@@ -246,6 +270,28 @@ class TestExhaustiveMinRegret:
         assert (best.regret, best.schedule.machines) == brute_min_regret_schedule(
             inst.p, inst.release
         )
+
+
+    def test_matches_the_completion_table_search(self, rng):
+        # the search that kept an (m, n) table of completions, unbudgeted
+        # and with an expired budget: same regret, schedule and flag
+        cases = []
+        for _ in range(500):  # small times, narrow windows: many ties
+            n, m = rng.randint(1, 6), rng.randint(1, 3)
+            p = tuple(tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(m))
+            lows = [rng.randint(0, 4) for _ in range(n)]
+            release = tuple((lo, lo + rng.randint(0, 3)) for lo in lows)
+            cases.append(Instance(p=p, release=release))
+        for n in (6, 7):
+            for m in (2, 3):
+                params = GenParams(n=n, m=m, r_domain_hi=30, segments=2)
+                cases.extend(generate(params, seed) for seed in range(2))
+        expired = OracleLimits(time_budget=0.0)
+        for inst in cases:
+            for limits in (DEFAULT_LIMITS, expired):
+                assert exhaustive_min_regret(inst, limits) == (
+                    reference_exhaustive_min_regret(inst, limits)
+                )
 
 
 def slow_search_instance() -> Instance:
