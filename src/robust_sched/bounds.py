@@ -20,7 +20,7 @@ scenario yields the relaxed worst-case regret, an upper-bound surrogate for
 the exact worst-case regret that needs no optimal schedules.
 
 One kernel, ``scaled_combined_rows``, gives the combined bounds of the
-builders, of the relaxed regret and of the oracle's prune. It takes a batch
+builders and of the relaxed regret. It takes a batch
 of q base job sets and, per base, r queries that each raise one member or
 insert one outsider, and answers them from the sorted bases without
 building any scenario row: prefix and suffix maxima, binary searches and
@@ -30,9 +30,11 @@ batched bounds of anchors inside a raised range that stay faster than the
 moved job, is evaluated in row blocks of bounded memory over the anchors
 with fewer than ``(m - 1) * max p`` jobs, a handful on generated instances.
 The n extreme scenarios (``scaled_extreme_bounds``) are one base with every
-job raised in turn; the short-sighted heuristics and the oracle's suffix
-bounds are the batched cases. ``lb_combined`` reads all four bounds off its
-per-anchor table of one scenario.
+job raised in turn; the short-sighted heuristics are the batched cases.
+The oracle's prune needs the bound of each suffix of one release order,
+which suffixes share, so it takes them from its own reverse scan instead.
+``lb_combined`` reads all four bounds off its per-anchor table of one
+scenario.
 
 With the O(n + m) extreme makespans of :mod:`.model`, relaxed regret needs
 no n x n array at any size. Its ``effective_only`` mode drops the covered

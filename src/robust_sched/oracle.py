@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import scaled_combined_rows
 from .model import (
     Instance,
     RegretReport,
@@ -113,21 +112,30 @@ def _release_sorted_jobs(inst: Instance, scenario: Scenario) -> list[int]:
 
 
 def _suffix_scaled_bounds(
-    inst: Instance, scenario: Scenario, order: list[int]
+    order: list[int], release: tuple[int, ...], fastest: list[int], m: int
 ) -> list[int]:
-    """Scaled combined bound of each suffix of the release-sorted job list,
-    0 for the empty one, from one kernel call: base t moves the jobs before
-    position t below ``-(max r + sum of fastest times)``, where all their
-    terms are negative."""
-    n = len(order)
-    rel, proc = scenario.r_array[order], inst.min_proc[order]
-    rows = np.tile(rel, (n, 1))
-    rows[np.tril_indices(n, -1)] = -(int(rel.max()) + int(proc.sum())) - 1
-    own = rel[:, None]  # base t keeps the job at position t where it is
-    bounds = scaled_combined_rows(
-        rows, np.tile(proc, (n, 1)), own, own, proc[:, None], inst.m
-    )
-    return bounds[:, 0].tolist() + [0]
+    """m times a lower bound on the optimum of each suffix of the
+    release-sorted jobs, and 0 for the empty one, from one reverse scan.
+
+    Every job from position k on is released at ``r_k`` or later, so with
+    the sum, count and minimum of their fastest times ``m (r_k + f_k)``,
+    ``m r_k + sum`` and ``m (r_k + ceil(count / m) min)`` bound their
+    optimum. Adding jobs never lowers an optimum, so the running maximum of
+    these terms bounds every suffix.
+    """
+    total = count = best = 0
+    shortest = max(fastest)
+    bounds = [0]
+    for job in reversed(order):
+        r, f = release[job], fastest[job]
+        total += f
+        count += 1
+        shortest = min(shortest, f)
+        batched = m * (r + -(-count // m) * shortest)
+        best = max(best, m * (r + f), m * r + total, batched)
+        bounds.append(best)
+    bounds.reverse()
+    return bounds
 
 
 def optimal_makespan(
@@ -141,7 +149,7 @@ def optimal_makespan(
 
     Jobs are considered in release order, so any assignment explored already
     carries the optimal within-machine order. Subtrees are cut when the
-    larger of the current load and the combined bound of the unassigned
+    larger of the current load and the lower bound of the unassigned
     suffix cannot beat the incumbent; pruning never changes the result, as
     a test against the unpruned search of ``tests/_reference.py`` checks.
 
@@ -195,7 +203,8 @@ def optimal_makespan(
     certified = True
     try:
         deadline.check()
-        suffix_bounds = _suffix_scaled_bounds(inst, scenario, order)
+        fastest = list(map(min, zip(*p)))
+        suffix_bounds = _suffix_scaled_bounds(order, release, fastest, m)
         dfs(0, 0)
     except _BudgetExhausted:
         certified = False

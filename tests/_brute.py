@@ -57,9 +57,12 @@ def brute_worst_regret(machines, p, intervals) -> int:
 
 
 def brute_min_regret(p, intervals) -> int:
+    """The least worst-case regret over every schedule, each integer
+    scenario's optimum solved once."""
     n, m = len(p[0]), len(p)
+    scenarios = [(r, brute_optimal_makespan(p, r)) for r in integer_box(intervals)]
     return min(
-        brute_worst_regret(machines, p, intervals)
+        max(brute_makespan(machines, p, r) - best for r, best in scenarios)
         for machines in all_schedules(n, m)
     )
 

@@ -34,17 +34,22 @@ The bound kernel's independent reference is the argsort path that sorts
 one explicit release row per scenario (``reference_bound_components``):
 ``reference_query_bounds`` spells out every query of the package's
 batched anchor kernel as such a row, and ``reference_suffix_bounds`` is the
-oracle's old one-call-per-suffix loop. ``relabel_jobs``, which renames jobs
-for the invariance tests, lives here too: the package never calls it.
+oracle's old one-call-per-suffix loop. ``kernel_suffix_bounds`` is the
+oracle's later one kernel call over n bases, and
+``kernel_extreme_suffix_bounds`` the same bounds under every extreme
+scenario from a few kernel calls: the floors of the oracle's reverse scan,
+which may be above them. ``relabel_jobs``, which renames jobs for the
+invariance tests, lives here too: the package never calls it.
 """
 from __future__ import annotations
 
+import bisect
 import operator
 from fractions import Fraction
 
 import numpy as np
 
-from robust_sched.bounds import scaled_extreme_bounds
+from robust_sched.bounds import scaled_combined_rows, scaled_extreme_bounds
 from robust_sched.heuristics import _argmin_with_gap_tie, _short_bounds
 from robust_sched.model import (
     CompletionProfile,
@@ -601,6 +606,66 @@ def reference_suffix_bounds(inst, scenario, order):
         row = rel[jobs].reshape(1, -1)
         proc = inst.min_proc[jobs].reshape(1, -1)
         out[idx] = int(reference_combined_rows(row, proc, inst.m)[0])
+    return out
+
+
+def kernel_suffix_bounds(inst, scenario, order):
+    """Scaled combined bound of each suffix of ``order``, 0 for the empty
+    one, from one call of the bound kernel: base t moves the jobs before
+    position t below ``-(max r + sum of fastest times)``, where all their
+    terms are negative."""
+    n = len(order)
+    rel, proc = scenario.r_array[order], inst.min_proc[order]
+    rows = np.tile(rel, (n, 1))
+    rows[np.tril_indices(n, -1)] = -(int(rel.max()) + int(proc.sum())) - 1
+    own = rel[:, None]  # base t keeps the job at position t where it is
+    bounds = scaled_combined_rows(
+        rows, np.tile(proc, (n, 1)), own, own, proc[:, None], inst.m
+    )
+    return bounds[:, 0].tolist() + [0]
+
+
+def kernel_extreme_suffix_bounds(inst, block=64):
+    """``kernel_suffix_bounds`` under every extreme scenario, as an
+    ``(n, n + 1)`` array whose row j is for the scenario that raises job j,
+    from kernel calls over blocks of ``block`` bases.
+
+    Base k is the all-lower-bounds order with its first k jobs moved far
+    below, as in ``kernel_suffix_bounds``. If job j sits at position
+    ``pos_j`` of that order and at ``q_j`` once raised, the suffix from
+    position t of the raised order is base t with j raised while
+    ``t < pos_j``, base t + 1 with j inserted at ``hi_j`` while
+    ``t <= q_j``, and base t as it is after that."""
+    n, m = inst.n, inst.m
+    lo, hi, mp = inst.release_lo, inst.release_hi, inst.min_proc
+    keys = sorted((int(lo[t]), t) for t in range(n))
+    order = np.array([t for _, t in keys], dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    q = np.array([
+        bisect.bisect_left(keys, (int(hi[j]), j)) - int(lo[j] < hi[j]) for j in range(n)
+    ])
+    below = -(int(hi.max()) + int(mp.sum())) - 1
+    rel, proc = lo[order], mp[order]
+    answers = np.empty((n + 1, n + 1), dtype=np.int64)  # base k, query j or keep
+    for begin in range(0, n + 1, block):
+        bases = np.arange(begin, min(begin + block, n + 1))[:, None]
+        moved = np.arange(n)[None] < bases
+        member = pos[None] >= bases
+        keep = np.minimum(bases, n - 1)  # base n keeps nothing; its column is unused
+        query_lo = np.concatenate((np.where(member, lo, below - 1), rel[keep]), axis=1)
+        query_hi = np.concatenate((np.broadcast_to(hi, member.shape), rel[keep]), axis=1)
+        query_f = np.concatenate((np.broadcast_to(mp, member.shape), proc[keep]), axis=1)
+        answers[bases[:, 0]] = scaled_combined_rows(
+            np.where(moved, below, rel), np.broadcast_to(proc, moved.shape),
+            query_lo, query_hi, query_f, m,
+        )
+    t, j = np.arange(n)[None], np.arange(n)[:, None]
+    out = np.zeros((n, n + 1), dtype=np.int64)
+    out[:, :n] = np.where(
+        t < pos[:, None], answers[t, j],
+        np.where(t <= q[:, None], answers[np.minimum(t + 1, n), j], answers[t, n]),
+    )
     return out
 
 

@@ -1,26 +1,39 @@
-"""The batched anchor kernel against the argsort reference.
+"""The batched anchor kernel against the argsort reference, and the
+oracle's suffix scan against the kernel.
 
 ``scaled_combined_rows`` answers queries that raise a member of a base job
 set, insert an outsider or keep the base, without building a scenario row;
 ``_reference`` spells out each query as an explicit release row and sorts it.
 Both must agree exactly: under hypothesis with ties, ``lo == hi``, one
-machine, one job and empty bases, on the short-sighted subsets and the
-oracle's suffixes, and on generated instances at n >= 500.
+machine, one job and empty bases, on the short-sighted subsets, and on
+generated instances at n >= 500.
+
+The oracle's suffix bounds come from one reverse scan instead of the
+kernel. Within a tie group of releases the scan also bounds the jobs from
+each position on, so it may be above the kernel's combined bound of a
+suffix but never below it, and never above m times the suffix's optimum.
 """
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robust_sched import Instance, Scenario, generate, optimal_makespan
-from robust_sched import oracle
+import robust_sched
+from robust_sched import Instance, Scenario, extreme_scenario, generate, optimal_makespan
 from robust_sched.bounds import scaled_combined_rows
 from robust_sched.datagen import params_for_dataset
 from robust_sched.heuristics import _short_bounds
 from robust_sched.oracle import _release_sorted_jobs, _suffix_scaled_bounds
 
-from _reference import reference_query_bounds, reference_suffix_bounds
+from _reference import (
+    kernel_extreme_suffix_bounds,
+    kernel_suffix_bounds,
+    reference_optimal_makespan,
+    reference_query_bounds,
+    reference_suffix_bounds,
+)
 from conftest import random_instance
 
 
@@ -141,43 +154,116 @@ def test_kernel_matches_reference_at_scale(dataset, n, m, seed):
     assert_queries_match(lo[members], mp[members], query_lo, hi[query], mp[query], m)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_suffix_bounds_match_the_per_suffix_loop(data):
+def random_scenario(data, n_max=8):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    inst = random_instance(rng, rng.randint(1, 8), rng.randint(1, 3),
+    inst = random_instance(rng, rng.randint(1, n_max), rng.randint(1, 3),
                            p_max=rng.choice([1, 4, 12]), r_max=rng.choice([0, 3, 10]))
     scenario = Scenario(r=tuple(rng.randint(lo, hi) for lo, hi in inst.release))
-    order = _release_sorted_jobs(inst, scenario)
-    assert _suffix_scaled_bounds(inst, scenario, order) == reference_suffix_bounds(
-        inst, scenario, order
+    return inst, scenario, _release_sorted_jobs(inst, scenario)
+
+
+def scan(inst, scenario, order, fastest=None):
+    if fastest is None:
+        fastest = inst.min_proc.tolist()
+    return _suffix_scaled_bounds(order, scenario.r, fastest, inst.m)
+
+
+def at_least(bounds, floors):
+    return len(bounds) == len(floors) and all(map(int.__ge__, bounds, floors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_suffix_scan_is_at_least_the_per_suffix_loop(data):
+    inst, scenario, order = random_scenario(data)
+    assert at_least(
+        scan(inst, scenario, order),
+        reference_suffix_bounds(inst, scenario, order),
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_suffix_scan_is_at_most_m_times_each_suffix_optimum(data):
+    inst, scenario, order = random_scenario(data)
+    bounds = scan(inst, scenario, order)
+    assert bounds[-1] == 0
+    for k in range(inst.n):
+        jobs = order[k:]
+        release = tuple((scenario.r[j], scenario.r[j]) for j in jobs)
+        suffix = Instance(p=tuple(tuple(row[j] for j in jobs) for row in inst.p),
+                          release=release)
+        optimum = reference_optimal_makespan(suffix, Scenario(r=suffix.release_lo.tolist()))
+        assert 0 < bounds[k] <= inst.m * optimum.makespan
+
+
+def test_suffix_scan_beats_the_kernel_inside_a_tie_group():
+    # release order 0, 3, 1, 2 with fastest times 1, 5, 4, 4 on m = 2: jobs
+    # 0 and 3 tie at release 0, so the kernel's anchor 0 batches all four
+    # jobs, 2 * (0 + 2 * 1), and its bound of the full set is 14. The scan
+    # also batches jobs 3, 1 and 2 alone: 2 * (0 + 2 * 4) = 16
+    inst = Instance(p=((4, 4, 4, 6), (1, 5, 6, 5)),
+                    release=((0, 0), (2, 2), (3, 3), (0, 0)))
+    scenario = Scenario(r=inst.release_lo.tolist())
+    order = _release_sorted_jobs(inst, scenario)
+    assert scan(inst, scenario, order) == [16, 16, 14, 14, 0]
+    assert kernel_suffix_bounds(inst, scenario, order) == [14, 16, 14, 14, 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_suffix_bounds_match_the_per_suffix_loop(data):
+    # the kernel references of the scale test below, against the argsort loop
+    inst, scenario, order = random_scenario(data, n_max=9)
+    want = reference_suffix_bounds(inst, scenario, order)
+    assert kernel_suffix_bounds(inst, scenario, order) == want
+    block = data.draw(st.integers(1, 4))
+    every = kernel_extreme_suffix_bounds(inst, block)
+    for j in range(inst.n):
+        raised = extreme_scenario(inst, j)
+        assert every[j].tolist() == reference_suffix_bounds(
+            inst, raised, _release_sorted_jobs(inst, raised)
+        )
+
+
+@pytest.mark.parametrize("dataset", ["DS1", "DS2"])
+@pytest.mark.parametrize("n, m, seed", [(500, 5, 7), (2000, 20, 8)])
+def test_suffix_scan_is_at_least_the_kernel_at_scale(dataset, n, m, seed):
+    inst = generate(params_for_dataset(dataset, n, m), seed)
+    kernel = kernel_extreme_suffix_bounds(inst).tolist()
+    fastest = inst.min_proc.tolist()
+    for j in range(n):
+        scenario = extreme_scenario(inst, j)
+        order = _release_sorted_jobs(inst, scenario)
+        assert at_least(scan(inst, scenario, order, fastest), kernel[j])
+
+
 def test_suffix_bounds_near_the_int64_limit():
-    # m * (max hi + sum of slowest times) just below 2**62: the moved jobs'
-    # release -(max r + sum of fastest times) - 1 must not wrap either
+    # m * (max hi + sum of slowest times) just below 2**62: the scan works
+    # in Python ints and must stay at or above the int64 reference
     big = (2**61 - 3) // 3
     inst = Instance(p=((big, 1, big), (big, 2, 1)),
                     release=((0, big), (big, big), (1, 3)))
     for j in range(inst.n):
-        scenario = Scenario(r=tuple(
-            hi if t == j else lo for t, (lo, hi) in enumerate(inst.release)
-        ))
+        scenario = extreme_scenario(inst, j)
         order = _release_sorted_jobs(inst, scenario)
-        assert _suffix_scaled_bounds(inst, scenario, order) == reference_suffix_bounds(
-            inst, scenario, order
+        assert at_least(
+            scan(inst, scenario, order),
+            reference_suffix_bounds(inst, scenario, order),
         )
 
 
-def test_pruned_optimal_makespan_makes_one_kernel_call(monkeypatch):
+def test_optimal_makespan_makes_no_kernel_call(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args[0].shape)
         return scaled_combined_rows(*args)
 
-    monkeypatch.setattr(oracle, "scaled_combined_rows", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("robust_sched") and hasattr(module, "scaled_combined_rows"):
+            monkeypatch.setattr(module, "scaled_combined_rows", counted)
     inst = random_instance(random.Random(4), 8, 3)
     optimal_makespan(inst, Scenario(r=inst.release_lo.tolist()))
-    assert calls == [(8, 8)]
+    assert robust_sched.bounds.scaled_combined_rows is counted
+    assert calls == []
