@@ -1,23 +1,26 @@
 """Exact reference computations at desk scale.
 
-Everything here enumerates, so hard instance-size limits are enforced up
-front. For a fixed scenario, the makespan-optimal order within one machine is
-by nondecreasing release date (adjacent exchange argument), which reduces the
-deterministic problem to a search over job-to-machine assignments; that
-search runs depth first with an admissible lower-bound prune. The full
-minimax-regret optimum enumerates per-machine sequences outright, since the
-regret objective has no per-machine ordering rule. Both searches always
-prune, and no prune changes a result.
+Every computation here is exponential in the job count, so hard
+instance-size limits are enforced up front. For a fixed scenario, the
+makespan-optimal order within one machine is by nondecreasing release date
+(adjacent exchange argument), which reduces the deterministic problem to
+choosing each machine's job set. One scenario's optimum comes from a depth
+first search over job-to-machine assignments with an admissible lower-bound
+prune; the optima of a batch of scenario rows, for the grid sweep, come from
+a DP over job subsets instead. The full minimax-regret optimum enumerates
+per-machine sequences outright, since the regret objective has no
+per-machine ordering rule. Both searches always prune, and no prune changes
+a result.
 
 Results carry a ``certified`` flag: a search cut short by ``time_budget``
 returns its incumbent flagged ``False``. The budget is the wall clock of the
 call made: every search inside one ``exact_worst_case_regret``,
 ``grid_regret`` or ``exhaustive_min_regret`` shares one deadline, read
-before each search starts and at every node of both searches.
+before each search starts and at every node of both searches, and before
+every row block and every machine merge of the subset DP.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import time
 from dataclasses import dataclass
@@ -39,6 +42,8 @@ from .model import (
 )
 
 GRID_SCENARIO_LIMIT = 250_000
+_BLOCK_CELLS = 1 << 15  # values in one temporary of the grid optima's DP
+_ROW_CELLS_LIMIT = 1 << 22  # the most that DP accepts for a single row
 
 
 class LimitExceededError(ValueError):
@@ -215,6 +220,24 @@ def optimal_makespan(
     )
 
 
+def _submask_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of bit sets T ⊆ S over n bits, grouped by S ascending:
+    S∖T and T of each pair, and where each S's run of 2^|S| pairs starts."""
+    sets = np.arange(1 << n)
+    runs = np.ones(1 << n, dtype=np.int64)
+    for bit in range(n):
+        runs <<= (sets >> bit) & 1
+    starts = np.cumsum(runs) - runs
+    owner = np.repeat(sets, runs)
+    rank = np.arange(owner.size) - starts[owner]  # T's index among S's subsets
+    inner = np.zeros_like(owner)
+    for bit in range(n):  # deposit rank's bits on the bits of S, low to high
+        member = (owner >> bit) & 1
+        inner |= (rank & member) << bit
+        rank >>= member
+    return owner ^ inner, inner, starts
+
+
 def optimal_makespans_for_release_rows(
     inst: Instance,
     release_rows: np.ndarray,
@@ -223,13 +246,23 @@ def optimal_makespans_for_release_rows(
     deadline: _Deadline | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Optimal makespan under every scenario row at once, and whether the
-    enumeration finished.
+    subset DP finished.
 
-    Enumerates all job-to-machine assignments and, per assignment, evaluates
-    each machine's release-sorted chain vectorized over the scenario rows.
-    The clock, ``deadline`` or else ``limits.time_budget`` from now, is read
-    before every assignment after the first; past it, the best makespans
-    found so far come back with ``False``.
+    Under a fixed row a machine runs its jobs in release order, so its
+    completion g_i(T) depends only on its job set T. Each row is
+    release-sorted once and job sets are taken over sorted positions, so
+    every machine's chains of all 2^n sets come from n doubling steps.
+    Machines then merge as ``F_i(S) = min over T ⊆ S of
+    max(g_i(T), F_{i-1}(S∖T))``, one gather over the 3^n pairs (S, T) per
+    middle machine and 2^n pairs for the last, which needs only S = all
+    jobs. Rows go in blocks whose temporaries hold about ``_BLOCK_CELLS``
+    values; a DP too large for one row at a time raises
+    ``LimitExceededError`` up front.
+
+    Every row starts from a feasible value, the best chain of all jobs on
+    one machine, which is the optimum when m = 1. The clock, ``deadline``
+    or else ``limits.time_budget`` from now, is read before every block and
+    every merge; past it, the values so far come back with ``False``.
     """
     _check_limits(inst, limits)
     if deadline is None:
@@ -238,27 +271,46 @@ def optimal_makespans_for_release_rows(
     count, n = release_rows.shape
     if n != inst.n:
         raise ValueError("scenario rows do not match the job count")
-    p = inst.p_array
-    best = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
-    for tried, assignment in enumerate(itertools.product(range(inst.m), repeat=n)):
-        if tried and deadline.expired():
+    m, p = inst.m, inst.p_array
+    sets = 1 << n
+    cells = max(3**n if m > 2 else sets, m * sets)  # one row's largest temporary
+    if m > 1 and cells > _ROW_CELLS_LIMIT:
+        raise LimitExceededError(
+            f"the subset DP over {n} jobs and {m} machines needs {cells} "
+            f"values a row, over the limit of {_ROW_CELLS_LIMIT}"
+        )
+    order = np.argsort(release_rows, axis=1, kind="stable")
+    rel = np.take_along_axis(release_rows, order, axis=1)
+    alone = np.zeros((m, count), dtype=np.int64)
+    for k in range(n):
+        alone = np.maximum(alone, rel[:, k]) + p[:, order[:, k]]
+    best = alone.min(axis=0)
+    if m == 1:
+        return best, True
+    if m > 2:
+        rest, sub, starts = _submask_pairs(n)
+    width = max(1, _BLOCK_CELLS // cells)
+    for at in range(0, count, width):
+        if deadline.expired():
             return best, False
-        worst = np.zeros(count, dtype=np.int64)
-        for i in range(inst.m):
-            jobs = np.array(
-                [j for j in range(n) if assignment[j] == i], dtype=np.int64
-            )
-            if jobs.size == 0:
-                continue
-            rel = release_rows[:, jobs]
-            order = np.argsort(rel, axis=1, kind="stable")
-            rel = np.take_along_axis(rel, order, axis=1)
-            proc = p[i, jobs][order]
-            current = np.zeros(count, dtype=np.int64)
-            for k in range(jobs.size):
-                current = np.maximum(current, rel[:, k]) + proc[:, k]
-            np.maximum(worst, current, out=worst)
-        np.minimum(best, worst, out=best)
+        rows = slice(at, at + width)
+        block_rel, proc = rel[rows], p[:, None, order[rows]]
+        # chains[i, S]: machine i's completion over the sorted positions in S
+        chains = np.zeros((m, sets, len(block_rel)), dtype=np.int64)
+        for k in range(n):
+            low = chains[:, : 1 << k]
+            chains[:, 1 << k : 2 << k] = np.maximum(low, block_rel[:, k]) + proc[..., k]
+        merged = chains[0]
+        for i in range(1, m - 1):
+            if deadline.expired():
+                return best, False
+            pairs = np.take(chains[i], sub, axis=0)
+            np.maximum(pairs, np.take(merged, rest, axis=0), out=pairs)
+            merged = np.minimum.reduceat(pairs, starts, axis=0)
+        if deadline.expired():
+            return best, False
+        # the last machine takes T and the others all S∖T = ~T: merged reversed
+        best[rows] = np.maximum(chains[-1], merged[::-1]).min(axis=0)
     return best, True
 
 
@@ -325,9 +377,9 @@ def grid_regret(
     Each interval is sampled at ``grid_points`` evenly spaced values with both
     endpoints included, so every extreme scenario is a grid corner. Intended
     as an independent cross-check of the extreme-scenario reduction. The
-    enumeration stops at ``limits.time_budget``; cut short, the report is
-    uncertified and its value, scored against the best makespans found so
-    far, is at most the full grid's.
+    optima's subset DP stops at ``limits.time_budget``; cut short, the
+    report is uncertified and its value, scored against feasible makespans
+    where a row's optimum is missing, is at most the full grid's.
     """
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points per interval")

@@ -22,6 +22,9 @@ one completion per extreme scenario and the largest regret of the
 finished machines.
 ``reference_completion_profile`` is the scalar chain loop that
 ``completion_profile`` replaced with the closed form of the chain rule.
+``reference_release_row_optima`` tries all mⁿ job-to-machine assignments
+over a batch of scenario rows: the reference of the subset DP in
+``optimal_makespans_for_release_rows``.
 
 ``dense_pm`` and ``dense_pr`` are the dense per-iteration rescans that
 ``pm`` and full-mode ``pr`` replaced: the differential references of the
@@ -44,6 +47,7 @@ invariance tests, lives here too: the package never calls it.
 from __future__ import annotations
 
 import bisect
+import itertools
 import operator
 from fractions import Fraction
 
@@ -422,6 +426,53 @@ def reference_optimal_makespan(inst, scenario):
         schedule=Schedule(machines=tuple(best_machines)),
         certified=True,
     )
+
+
+def reference_release_row_optima(
+    inst: Instance,
+    release_rows: np.ndarray,
+    limits: OracleLimits = DEFAULT_LIMITS,
+    *,
+    deadline: _Deadline | None = None,
+) -> tuple[np.ndarray, bool]:
+    """Optimal makespan under every scenario row at once, and whether the
+    enumeration finished.
+
+    Enumerates all job-to-machine assignments and, per assignment, evaluates
+    each machine's release-sorted chain vectorized over the scenario rows.
+    The clock, ``deadline`` or else ``limits.time_budget`` from now, is read
+    before every assignment after the first; past it, the best makespans
+    found so far come back with ``False``.
+    """
+    _check_limits(inst, limits)
+    if deadline is None:
+        deadline = _Deadline(limits.time_budget)
+    release_rows = np.asarray(release_rows, dtype=np.int64)
+    count, n = release_rows.shape
+    if n != inst.n:
+        raise ValueError("scenario rows do not match the job count")
+    p = inst.p_array
+    best = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
+    for tried, assignment in enumerate(itertools.product(range(inst.m), repeat=n)):
+        if tried and deadline.expired():
+            return best, False
+        worst = np.zeros(count, dtype=np.int64)
+        for i in range(inst.m):
+            jobs = np.array(
+                [j for j in range(n) if assignment[j] == i], dtype=np.int64
+            )
+            if jobs.size == 0:
+                continue
+            rel = release_rows[:, jobs]
+            order = np.argsort(rel, axis=1, kind="stable")
+            rel = np.take_along_axis(rel, order, axis=1)
+            proc = p[i, jobs][order]
+            current = np.zeros(count, dtype=np.int64)
+            for k in range(jobs.size):
+                current = np.maximum(current, rel[:, k]) + proc[:, k]
+            np.maximum(worst, current, out=worst)
+        np.minimum(best, worst, out=best)
+    return best, True
 
 
 def reference_exhaustive_min_regret(

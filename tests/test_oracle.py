@@ -1,7 +1,10 @@
+import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from robust_sched import (
@@ -20,6 +23,7 @@ from robust_sched import (
 )
 from robust_sched.model import extreme_scenario, extreme_scenarios, makespan
 from robust_sched.oracle import (
+    _BLOCK_CELLS,
     DEFAULT_LIMITS,
     _grid_points,
     optimal_makespans_for_release_rows,
@@ -29,6 +33,7 @@ from _reference import (
     extreme_release_matrix,
     reference_exhaustive_min_regret,
     reference_optimal_makespan,
+    reference_release_row_optima,
 )
 from _brute import (
     brute_min_regret,
@@ -133,6 +138,151 @@ class TestOptimalMakespan:
             assert int(cut[j]) >= exact.makespan
 
 
+def grid_rows(inst, points):
+    axes = [_grid_points(lo, hi, points) for lo, hi in inst.release]
+    return np.array(list(itertools.product(*axes)), dtype=np.int64).reshape(-1, inst.n)
+
+
+def assert_equals_enumeration(inst, rows):
+    values, finished = optimal_makespans_for_release_rows(inst, rows)
+    expected, _ = reference_release_row_optima(inst, rows)
+    assert finished
+    assert values.dtype == np.int64
+    assert values.tolist() == expected.tolist()
+
+
+def single_machine_chains(inst, rows, limits=DEFAULT_LIMITS):
+    """Per row, the best completion of all jobs on one machine."""
+    chains = [
+        reference_release_row_optima(
+            Instance(p=(inst.p[i],), release=inst.release), rows, limits
+        )[0]
+        for i in range(inst.m)
+    ]
+    return np.min(chains, axis=0)
+
+
+class _CutAfter:
+    """A deadline that expires at its ``reads``-th read."""
+
+    def __init__(self, reads):
+        self.reads = reads
+
+    def expired(self):
+        self.reads -= 1
+        return self.reads < 0
+
+
+class TestReleaseRowOptima:
+    """The subset DP against the assignment enumeration it replaced."""
+
+    def test_equals_the_enumeration_on_generated_grids(self):
+        for n, m in itertools.product(range(1, 9), range(1, 4)):
+            params = GenParams(n=n, m=m, r_domain_hi=30, segments=min(n, 2))
+            inst = generate(params, n + m)
+            assert_equals_enumeration(inst, grid_rows(inst, 3 if n <= 6 else 2))
+
+    def test_equals_the_enumeration_on_ties(self, rng):
+        for _ in range(30):
+            n, m = rng.randint(1, 7), rng.randint(2, 3)
+            equal_p = rng.randint(1, 4)
+            p = tuple(
+                tuple(equal_p if rng.random() < 0.7 else rng.randint(1, 4)
+                      for _ in range(n))
+                for _ in range(m)
+            )
+            release = []
+            for _ in range(n):
+                lo = rng.choice((0, 3))
+                release.append((lo, lo + rng.choice((0, 0, 3))))  # many points
+            inst = Instance(p=p, release=tuple(release))
+            assert_equals_enumeration(inst, grid_rows(inst, rng.randint(2, 3)))
+            assert_equals_enumeration(inst, np.zeros((3, n), dtype=np.int64))
+
+    def test_one_job_and_one_machine(self, rng):
+        for m in range(1, 4):
+            inst = random_instance(rng, 1, m)
+            assert_equals_enumeration(inst, grid_rows(inst, 5))
+        for n in range(1, 9):
+            inst = random_instance(rng, n, 1)
+            assert_equals_enumeration(inst, grid_rows(inst, 2))
+
+    def test_rows_are_independent(self, rng):
+        inst = generate(GenParams(n=6, m=3, r_domain_hi=30, segments=2), 4)
+        rows = grid_rows(inst, 3)
+        values, _ = optimal_makespans_for_release_rows(inst, rows)
+        picks = rng.choices(range(len(rows)), k=2 * len(rows))  # shuffled, repeated
+        again, finished = optimal_makespans_for_release_rows(inst, rows[picks])
+        assert finished
+        assert again.tolist() == values[picks].tolist()
+
+    def test_last_partial_block(self):
+        for m in (2, 3):
+            inst = generate(GenParams(n=8, m=m, r_domain_hi=30, segments=2), 0)
+            rows = grid_rows(inst, 3)
+            width = _BLOCK_CELLS // max(3**8 if m > 2 else 2**8, m * 2**8)
+            assert len(rows) == 3**8 and len(rows) % width
+            values, finished = optimal_makespans_for_release_rows(inst, rows)
+            assert finished
+            sample = [*range(0, len(rows), 97), *range(len(rows) - 70, len(rows))]
+            expected, _ = reference_release_row_optima(inst, rows[sample])
+            assert values[sample].tolist() == expected.tolist()
+
+    def test_zero_budget_gives_the_best_single_machine_chain(self, rng):
+        for _ in range(10):
+            inst = random_instance(rng, rng.randint(1, 7), rng.randint(2, 3))
+            rows = grid_rows(inst, 2)
+            values, finished = optimal_makespans_for_release_rows(
+                inst, rows, OracleLimits(time_budget=0.0)
+            )
+            assert not finished
+            assert values.tolist() == single_machine_chains(inst, rows).tolist()
+
+    def test_a_cut_between_blocks_stays_above_the_optima(self):
+        inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
+        rows = grid_rows(inst, 3)
+        exact, _ = optimal_makespans_for_release_rows(inst, rows)
+        start = single_machine_chains(inst, rows)
+        solved = []
+        for reads in (0, 1, 2, 3, 4, 5, 60, 300):
+            values, finished = optimal_makespans_for_release_rows(
+                inst, rows, deadline=_CutAfter(reads)
+            )
+            assert not finished
+            assert (values >= exact).all()
+            assert (values <= start).all()
+            solved.append(int((values == exact).sum()))
+        assert solved == sorted(solved) and solved[0] < solved[-1] < len(rows)
+        values, finished = optimal_makespans_for_release_rows(
+            inst, rows, deadline=_CutAfter(10**6)
+        )
+        assert finished and values.tolist() == exact.tolist()
+
+    def test_memory_stays_within_the_row_blocks(self):
+        # one unblocked gather over the 3**8 subset pairs of 3**8 rows
+        # would hold ~340 MB
+        inst = generate(GenParams(n=8, m=3, r_domain_hi=30, segments=2), 0)
+        rows = grid_rows(inst, 3)
+        tracemalloc.start()
+        try:
+            optimal_makespans_for_release_rows(inst, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_refuses_a_dp_too_large_for_one_row(self, rng):
+        inst = random_instance(rng, 14, 3)
+        rows = np.array([inst.release_lo])
+        limits = OracleLimits(max_jobs=14)
+        with pytest.raises(LimitExceededError, match="subset DP"):
+            optimal_makespans_for_release_rows(inst, rows, limits)
+        alone = random_instance(rng, 14, 1)
+        values, finished = optimal_makespans_for_release_rows(alone, rows, limits)
+        assert finished
+        assert values.tolist() == single_machine_chains(alone, rows, limits).tolist()
+
+
 class TestExactWorstCaseRegret:
     def test_deterministic_instance_optimal_schedule(self):
         inst = Instance(p=((4, 2), (3, 5)), release=((1, 1), (2, 2)))
@@ -203,7 +353,7 @@ class TestGridRegret:
             assert grid.value == exact.value
 
     def test_budget_cuts_the_grid_short(self):
-        # 3**7 assignments over 3**7 scenario rows: about a second in full
+        # the subset DP over 3**7 scenario rows: about 30 ms in full
         inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
         schedule = pm(inst)
         started = time.perf_counter()
