@@ -33,18 +33,13 @@ from .heuristics import (
     detect_dominant_job,
     pm,
 )
-from .model import (
-    InfeasibleScenarioError,
-    InvalidScheduleError,
-    extreme_scenarios,
-    lower_scenario,
-    regret_upper_bound,
-)
+from .model import extreme_scenarios, lower_scenario, regret_upper_bound
 from .oracle import (
     DEFAULT_LIMITS,
-    GRID_SCENARIO_LIMIT,
-    LimitExceededError,
     OracleLimits,
+    _grid_regrets,
+    _grid_rows,
+    _GridTooLargeError,
     exact_worst_case_regret,
     grid_regret,
     optimal_makespan,
@@ -56,14 +51,9 @@ from .experiments import (
     run_benchmark,
 )
 
-_USER_ERRORS = (
-    io.FormatError,
-    InvalidScheduleError,
-    InfeasibleScenarioError,
-    LimitExceededError,
-    ValueError,
-    OSError,
-)
+# io.FormatError and the schedule, scenario and oracle-limit errors are
+# all ValueErrors
+_USER_ERRORS = (ValueError, OSError)
 
 
 def _fail(kind: str, message: str) -> int:
@@ -175,32 +165,27 @@ def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, st
     for seed in range(3):
         schedules[f"random{seed}"] = random_schedule(inst, seed)
 
+    try:  # refuses a bad grid before any search
+        rows = _grid_rows(inst, grid_points, limits)
+    except _GridTooLargeError:
+        rows = None
     exact = {
         name: exact_worst_case_regret(schedule, inst, left())
         for name, schedule in schedules.items()
     }
-
-    grid_cells = 1
-    for lo, hi in inst.release:
-        grid_cells *= min(grid_points, hi - lo + 1)
-    if grid_cells <= GRID_SCENARIO_LIMIT:
-        grids = {}
-        for name, schedule in schedules.items():
-            if not exact[name].certified:
-                break
-            report = grid_regret(schedule, inst, grid_points, left())
-            if not report.certified:
-                break  # the line is skipped: spend no more of the budget on it
-            grids[name] = report
-        if len(grids) < len(schedules):
-            results.append(("skip", "extreme-scenario reduction (budget cut a search)"))
-        else:
-            ok = all(grids[name].value == exact[name].value for name in grids)
+    if rows is None:
+        results.append(("skip", "extreme-scenario reduction (grid too large)"))
+    else:
+        grids = []  # none once a search is cut: spend no more of the budget
+        if all(report.certified for report in exact.values()):
+            grids = _grid_regrets(list(schedules.values()), inst, rows, left())
+        if grids and grids[0].certified:
+            ok = all(g.value == e.value for g, e in zip(grids, exact.values()))
             results.append(
                 ("pass" if ok else "fail", "extreme-scenario reduction (grid == exact)")
             )
-    else:
-        results.append(("skip", "extreme-scenario reduction (grid too large)"))
+        else:
+            results.append(("skip", "extreme-scenario reduction (budget cut a search)"))
 
     full = {
         name: exact_worst_case_regret(s, inst, left(), effective_only=False)

@@ -50,6 +50,10 @@ class LimitExceededError(ValueError):
     """Instance too large for exhaustive enumeration under the given limits."""
 
 
+class _GridTooLargeError(LimitExceededError):
+    """A scenario grid over ``GRID_SCENARIO_LIMIT``."""
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -208,7 +212,7 @@ def optimal_makespan(
     certified = True
     try:
         deadline.check()
-        fastest = list(map(min, zip(*p)))
+        fastest = inst.min_proc.tolist()
         suffix_bounds = _suffix_scaled_bounds(order, release, fastest, m)
         dfs(0, 0)
     except _BudgetExhausted:
@@ -357,13 +361,43 @@ def _grid_points(lo: int, hi: int, grid_points: int) -> list[int]:
 
     Interior points are rounded half-up so integer instances stay integral.
     """
-    if hi == lo:
-        return [lo]
     steps = grid_points - 1
-    values = sorted(
+    return sorted(
         {lo + (2 * q * (hi - lo) + steps) // (2 * steps) for q in range(steps + 1)}
     )
-    return values
+
+
+def _grid_rows(inst: Instance, grid_points: int, limits: OracleLimits) -> np.ndarray:
+    """The grid's scenario rows in ``itertools.product`` order, or the error
+    for a bad ``grid_points``, an instance over ``limits`` or a grid over
+    ``GRID_SCENARIO_LIMIT`` scenarios (``_GridTooLargeError``)."""
+    if grid_points < 2:
+        raise ValueError("grid needs at least 2 points per interval")
+    _check_limits(inst, limits)
+    axes, total = [], 1
+    for lo, hi in inst.release:
+        axes.append(np.array(_grid_points(lo, hi, grid_points), dtype=np.int64))
+        total *= len(axes[-1])
+        if total > GRID_SCENARIO_LIMIT:
+            raise _GridTooLargeError(
+                f"grid would hold more than {GRID_SCENARIO_LIMIT} scenarios"
+            )
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(total, inst.n)
+
+
+def _grid_regrets(
+    schedules: list[Schedule], inst: Instance, rows: np.ndarray, limits: OracleLimits
+) -> list[RegretReport]:
+    """Each valid schedule's worst regret over the grid's ``rows``, all scored
+    against one solve of their optima under one ``limits.time_budget``."""
+    optima, certified = optimal_makespans_for_release_rows(inst, rows, limits)
+    reports = []
+    for schedule in schedules:
+        regrets = makespans_for_release_rows(schedule, inst, rows) - optima
+        at = int(np.argmax(regrets))
+        scenario = Scenario(r=tuple(rows[at].tolist()))
+        reports.append(RegretReport(int(regrets[at]), scenario, certified=certified))
+    return reports
 
 
 def grid_regret(
@@ -381,34 +415,9 @@ def grid_regret(
     report is uncertified and its value, scored against feasible makespans
     where a row's optimum is missing, is at most the full grid's.
     """
-    if grid_points < 2:
-        raise ValueError("grid needs at least 2 points per interval")
-    _check_limits(inst, limits)
+    rows = _grid_rows(inst, grid_points, limits)
     ensure_valid_schedule(schedule, inst)
-    deadline = _Deadline(limits.time_budget)
-
-    axes = [_grid_points(lo, hi, grid_points) for lo, hi in inst.release]
-    total = 1
-    for axis in axes:
-        total *= len(axis)
-        if total > GRID_SCENARIO_LIMIT:
-            raise LimitExceededError(
-                f"grid would hold more than {GRID_SCENARIO_LIMIT} scenarios"
-            )
-    grids = np.meshgrid(*(np.array(a, dtype=np.int64) for a in axes), indexing="ij")
-    rows = np.stack(grids, axis=-1).reshape(total, inst.n)  # itertools.product order
-    values = makespans_for_release_rows(schedule, inst, rows)
-    optima, certified = optimal_makespans_for_release_rows(
-        inst, rows, limits, deadline=deadline
-    )
-    regrets = values - optima
-    at = int(np.argmax(regrets))
-    return RegretReport(
-        value=int(regrets[at]),
-        scenario=Scenario(r=tuple(int(v) for v in rows[at])),
-        per_scenario={},
-        certified=certified,
-    )
+    return _grid_regrets([schedule], inst, rows, limits)[0]
 
 
 def exhaustive_min_regret(

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from robust_sched import GenParams, generate, io
+from robust_sched import GenParams, cli, generate, io, oracle
 from robust_sched.cli import _limits, build_parser, main
 from robust_sched.experiments import ExperimentSpec, render_markdown, run_benchmark
 from robust_sched.model import validate_schedule
@@ -287,6 +287,113 @@ class TestCheck:
                     "--seed", "0", "--out", path]) == 0
         assert run(["check", "--instance", path]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "LimitExceededError"
+
+
+ALL_PASS = [
+    "pass extreme-scenario reduction (grid == exact)",
+    "pass covered-job pruning keeps the maximum",
+    "pass regret within [0, upper bound]",
+    "pass lower bounds below the optimum",
+    "pass relaxed regret dominates exact",
+]
+CONDITIONS_NOT_MET = [
+    "skip disjoint intervals (condition not met)",
+    "skip dominant job (condition not met)",
+]
+
+
+class TestCheckOutputIsPinned:
+    """The battery's whole stdout and exit code, frozen while each battery
+    schedule still made its own ``grid_regret`` call."""
+
+    DISJOINT = {"m": 2, "n": 3, "p": [[2, 3, 4], [3, 2, 5]],
+                "release": [[0, 1], [6, 8], [14, 15]]}
+    SPILL = {"m": 3, "n": 4, "p": [[9, 7, 7, 5], [6, 4, 3, 7], [9, 5, 3, 4]],
+             "release": [[19, 22], [25, 28], [3, 7], [11, 15]]}
+    WIDE = {"m": 1, "n": 8, "p": [[3, 5, 2, 4, 6, 3, 2, 5]],
+            "release": [[4 * j, 4 * j + 6] for j in range(8)]}
+
+    @staticmethod
+    def seven_file(tmp_path):
+        path = tmp_path / "seven.json"
+        inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
+        io.write_json(path, io.instance_to_dict(inst))
+        return path
+
+    def check(self, capsys, path, *flags):
+        code = run(["check", "--instance", path, *flags])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_small(self, small_instance_file, capsys):
+        assert self.check(capsys, small_instance_file) == (0, ALL_PASS + CONDITIONS_NOT_MET)
+
+    def test_seven_jobs_three_machines_at_three_points(self, tmp_path, capsys):
+        path = self.seven_file(tmp_path)
+        assert self.check(capsys, path, "--grid-points", "3") == (
+            0, ALL_PASS + CONDITIONS_NOT_MET
+        )
+
+    def test_disjoint(self, tmp_path, capsys):
+        path = tmp_path / "disjoint.json"
+        io.write_json(path, self.DISJOINT)
+        assert self.check(capsys, path) == (0, ALL_PASS + [
+            "pass disjoint intervals: pm is optimal",
+            "pass dominant job: pm is optimal",
+        ])
+
+    def test_spill(self, tmp_path, capsys):
+        path = tmp_path / "spill.json"
+        io.write_json(path, self.SPILL)
+        assert self.check(capsys, path) == (0, ALL_PASS + [
+            "skip disjoint intervals (processing spills over a gap)",
+            "skip dominant job (condition not met)",
+        ])
+
+    def test_wide_grid_too_large(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        io.write_json(path, self.WIDE)
+        assert self.check(capsys, path, "--grid-points", "5") == (0, [
+            "skip extreme-scenario reduction (grid too large)", *ALL_PASS[1:],
+            *CONDITIONS_NOT_MET,
+        ])
+
+    def test_wide_grid_too_large_at_zero_budget(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        io.write_json(path, self.WIDE)
+        cut = [line.replace("pass", "skip", 1) + " (budget cut a search)"
+               for line in ALL_PASS[1:]]
+        assert self.check(capsys, path, "--grid-points", "5", "--time-budget", "0") == (
+            0, ["skip extreme-scenario reduction (grid too large)", *cut,
+                *CONDITIONS_NOT_MET],
+        )
+
+    def test_one_grid_dp_serves_the_battery(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        solve = oracle.optimal_makespans_for_release_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "optimal_makespans_for_release_rows", counted)
+        path = self.seven_file(tmp_path)
+        assert self.check(capsys, path, "--grid-points", "3")[0] == 0
+        assert calls == [(3**7, 7)]
+
+    @pytest.mark.parametrize("flags", [[], ["--time-budget", "0"]])
+    @pytest.mark.parametrize("points", ["1", "0"])
+    def test_bad_grid_points_refused_before_any_search(
+        self, small_instance_file, capsys, monkeypatch, flags, points
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("an exact search ran")
+
+        monkeypatch.setattr(cli, "exact_worst_case_regret", no_search)
+        code = run(["check", "--instance", small_instance_file,
+                    "--grid-points", points, *flags])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
 
 
 class TestOracleFlags:

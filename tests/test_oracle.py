@@ -20,12 +20,17 @@ from robust_sched import (
     grid_regret,
     optimal_makespan,
     pm,
+    pr,
+    pre,
+    random_schedule,
 )
 from robust_sched.model import extreme_scenario, extreme_scenarios, makespan
 from robust_sched.oracle import (
     _BLOCK_CELLS,
     DEFAULT_LIMITS,
     _grid_points,
+    _grid_regrets,
+    _grid_rows,
     optimal_makespans_for_release_rows,
 )
 
@@ -379,6 +384,27 @@ class TestGridRegret:
                 Schedule(machines=(tuple(range(8)),)), inst, 11,
                 OracleLimits(max_jobs=8, max_machines=1),
             )
+
+
+class TestGridRegretsShareOneGrid:
+    """One solve of a grid's optima scores many schedules, each exactly as
+    its own ``grid_regret`` call would."""
+
+    @pytest.mark.parametrize("n, m, seed, points", [(6, 2, 1, 4), (7, 3, 0, 3), (5, 3, 4, 5)])
+    @pytest.mark.parametrize("budget", [None, 0.0])
+    def test_each_report_equals_grid_regret(self, n, m, seed, points, budget):
+        inst = generate(GenParams(n=n, m=m, r_domain_hi=30, segments=2), seed)
+        limits = OracleLimits(time_budget=budget)
+        schedules = [pm(inst), pr(inst), pre(inst)]
+        schedules += [random_schedule(inst, k) for k in range(3)]
+        shared = _grid_regrets(schedules, inst, _grid_rows(inst, points, limits), limits)
+        assert len(shared) == len(schedules)
+        for schedule, report in zip(schedules, shared):
+            alone = grid_regret(schedule, inst, points, limits)
+            assert (report.value, report.scenario, report.certified) == (
+                alone.value, alone.scenario, alone.certified
+            )
+            assert report.certified == (budget is None)
 
 
 class TestExhaustiveMinRegret:

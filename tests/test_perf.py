@@ -13,13 +13,16 @@ import time
 from robust_sched import ds1_params, generate, pm, pr, pre
 
 
-def median_seconds(fn, inst, reps=5):
-    samples = []
+def median_seconds(fn, small, large, reps=5):
+    """Median wall time of ``reps`` builds on each instance. The small and
+    large builds alternate, so a burst of machine noise lands on both."""
+    samples = ([], [])
     for _ in range(reps):
-        started = time.perf_counter()
-        fn(inst)
-        samples.append(time.perf_counter() - started)
-    return statistics.median(samples)
+        for inst, times in zip((small, large), samples):
+            started = time.perf_counter()
+            fn(inst)
+            times.append(time.perf_counter() - started)
+    return statistics.median(samples[0]), statistics.median(samples[1])
 
 
 def test_doubling_jobs_stays_inside_the_envelopes():
@@ -30,14 +33,12 @@ def test_doubling_jobs_stays_inside_the_envelopes():
         fn(large)  # warm up
 
     for fn, cap in ((pm, 8.0), (pr, 8.0), (pre, 16.0)):
-        t_small = median_seconds(fn, small)
-        t_large = median_seconds(fn, large)
+        t_small, t_large = median_seconds(fn, small, large)
         assert t_large > t_small, f"{fn.__name__} did not grow with n"
         ratio = t_large / t_small
         assert ratio <= cap, f"{fn.__name__} doubling ratio {ratio:.1f} > {cap}"
 
     # the cubic builder's element work dominates, so its ratio is also
     # bounded from below by the band
-    t_small = median_seconds(pre, small)
-    t_large = median_seconds(pre, large)
+    t_small, t_large = median_seconds(pre, small, large)
     assert t_large / t_small >= 4.0, "pre scales suspiciously gently"
