@@ -428,15 +428,27 @@ def exhaustive_min_regret(
     Per-machine sequences are enumerated in lexicographic order of the
     schedule encoding, so ties resolve to the lexicographically smallest
     optimal schedule. The partial worst-case regret only grows as jobs are
-    appended, which gives the result-preserving prune.
+    appended, which gives the result-preserving prune; each child is tested
+    before it is called.
 
     Machines are filled in order and never revisited, and the regret of a
     schedule is the largest regret of one of its machines, so the search
     keeps one completion per extreme scenario and a node costs O(n).
 
+    The search starts from a bound, not an incumbent: the optimum is at most
+    the smallest regret of the extreme scenarios' optimal schedules, so only
+    leaves at or below it are kept, and the first optimum in the order is
+    never cut. What machines ``i`` onward add to the regret depends only on
+    ``i`` and the jobs left to them, so a hand-off to machine ``i`` whose
+    search returns with the finished machines' regret still below the best
+    records that best as a floor of every schedule of those jobs on those
+    machines; a later hand-off of the same jobs to machine ``i`` is skipped
+    while that floor is at least the best. The memo lives for one call.
+
     The optima and the enumeration share one ``limits.time_budget``. Cut
-    short before any complete schedule, the call returns the schedule found
-    for the first extreme scenario, scored against the optima at hand.
+    short before any complete schedule at or below the bound, the call
+    returns the schedule found for the first extreme scenario, scored
+    against the optima at hand.
     """
     _check_limits(inst, limits)
     n, m = inst.n, inst.m
@@ -450,44 +462,59 @@ def exhaustive_min_regret(
     ]
     opts = [result.makespan for result in optima]
     certified = all(result.certified for result in optima)
+    # a cut optimum means the clock has run out: the search stops at its
+    # first node, and only the fallback's regret is read
+    start_regrets = [
+        max(map(operator.sub, extreme_makespans(result.schedule, inst).tolist(), opts))
+        for result in (optima if certified else optima[:1])
+    ]
 
     machines: list[list[int]] = [[] for _ in range(m)]
-    best_regret: int | None = None
+    best_regret = 1 + min(start_regrets)  # regrets are integers
     best_machines: tuple[tuple[int, ...], ...] | None = None
+    # below[(i, jobs)]: every schedule of jobs on machines i onward has a
+    # regret of at least this
+    below: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def dfs(machine: int, remaining: list[int], floor: int, done: list[int]) -> None:
+    def dfs(
+        machine: int, remaining: tuple[int, ...], floor: int, done: list[int],
+        value: int,
+    ) -> None:
         # floor: largest regret of a finished machine; done[t]: the current
-        # machine's completion under extreme scenario t
+        # machine's completion under extreme scenario t; value: the partial
+        # regret, below best_regret
         nonlocal best_regret, best_machines
         deadline.check()
-        value = max(floor, max(map(operator.sub, done, opts)))
         if not remaining:
-            if best_regret is None or value < best_regret:
-                best_regret = value
-                best_machines = tuple(tuple(seq) for seq in machines)
-            return
-        if best_regret is not None and value >= best_regret:
+            best_regret = value
+            best_machines = tuple(tuple(seq) for seq in machines)
             return
         if machine < m - 1:
-            dfs(machine + 1, remaining, value, [0] * n)
+            key = (machine + 1, remaining)
+            if below.get(key, value) < best_regret:  # unrecorded: value is below
+                dfs(machine + 1, remaining, value, [0] * n, value)
+                if value < best_regret:
+                    below[key] = best_regret
         for pick, job in enumerate(remaining):
             cost, low = p[machine][job], lo[job]
             # scenario t releases the job at hi if t == job, else at lo
             appended = [cost + (finish if finish > low else low) for finish in done]
             appended[job] = cost + max(done[job], hi[job])
-            machines[machine].append(job)
-            dfs(machine, remaining[:pick] + remaining[pick + 1 :], floor, appended)
-            machines[machine].pop()
+            grown = max(floor, max(map(operator.sub, appended, opts)))
+            if grown < best_regret:
+                machines[machine].append(job)
+                rest = remaining[:pick] + remaining[pick + 1 :]
+                dfs(machine, rest, floor, appended, grown)
+                machines[machine].pop()
 
+    empty = -min(opts)  # an empty machine's regret
     try:
-        dfs(0, list(range(n)), -min(opts), [0] * n)  # an empty machine's regret
+        dfs(0, tuple(range(n)), empty, [0] * n, empty)
     except _BudgetExhausted:
         certified = False
-    if best_machines is None:  # budget hit before the first leaf
-        fallback = optima[0].schedule
-        best_machines = fallback.machines
-        values = extreme_makespans(fallback, inst)
-        best_regret = max(map(operator.sub, values.tolist(), opts))
+    if best_machines is None:  # budget hit before a leaf within the bound
+        best_machines = optima[0].schedule.machines
+        best_regret = start_regrets[0]
     return MinRegretResult(
         schedule=Schedule(machines=best_machines),
         regret=int(best_regret),

@@ -451,14 +451,16 @@ class TestExhaustiveMinRegret:
     def test_matches_the_completion_table_search(self, rng):
         # the search that kept an (m, n) table of completions, unbudgeted
         # and with an expired budget: same regret, schedule and flag
-        cases = []
-        for _ in range(500):  # small times, narrow windows: many ties
-            n, m = rng.randint(1, 6), rng.randint(1, 3)
+        def tie_heavy(n: int, m: int) -> Instance:
+            # small times, narrow windows: many ties
             p = tuple(tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(m))
             lows = [rng.randint(0, 4) for _ in range(n)]
             release = tuple((lo, lo + rng.randint(0, 3)) for lo in lows)
-            cases.append(Instance(p=p, release=release))
-        for n in (6, 7):
+            return Instance(p=p, release=release)
+
+        cases = [tie_heavy(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(500)]
+        cases += [tie_heavy(7, rng.randint(2, 3)) for _ in range(50)]
+        for n in (6, 7, 8):  # 8 is the default limit
             for m in (2, 3):
                 params = GenParams(n=n, m=m, r_domain_hi=30, segments=2)
                 cases.extend(generate(params, seed) for seed in range(2))
@@ -468,6 +470,29 @@ class TestExhaustiveMinRegret:
                 assert exhaustive_min_regret(inst, limits) == (
                     reference_exhaustive_min_regret(inst, limits)
                 )
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance(p=((3, 1),), release=((4, 4), (3, 5))),
+            Instance(p=((3, 2), (2, 2)), release=((2, 4), (0, 0))),
+        ],
+    )
+    def test_the_start_bound_is_not_an_incumbent(self, inst):
+        # an extreme scenario's optimal schedule reaches the minimum regret
+        # but is not the smallest optimum, which must still come back
+        regret, smallest = brute_min_regret_schedule(inst.p, inst.release)
+        scenario_optima = [
+            optimal_makespan(inst, scenario).schedule
+            for scenario in extreme_scenarios(inst)
+        ]
+        assert any(
+            schedule.machines != smallest
+            and exact_worst_case_regret(schedule, inst).value == regret
+            for schedule in scenario_optima
+        )
+        best = exhaustive_min_regret(inst)
+        assert (best.regret, best.schedule.machines) == (regret, smallest)
 
 
 def slow_search_instance() -> Instance:
