@@ -30,7 +30,8 @@ batched bounds of anchors inside a raised range that stay faster than the
 moved job, is evaluated in row blocks of bounded memory over the anchors
 with fewer than ``(m - 1) * max p`` jobs, a handful on generated instances.
 The n extreme scenarios (``scaled_extreme_bounds``) are one base with every
-job raised in turn; the short-sighted heuristics are the batched cases.
+job raised in turn, computed once per instance; the short-sighted
+heuristics are the batched cases.
 The oracle's prune needs the bound of each suffix of one release order,
 which suffixes share, so it takes them from its own reverse scan instead.
 ``lb_combined`` reads all four bounds off its per-anchor table of one
@@ -278,9 +279,18 @@ def scaled_combined_rows(
 
 def scaled_extreme_bounds(inst: Instance) -> np.ndarray:
     """Combined bound (scaled by m) under each extreme scenario, by raised job:
-    the all-lower-bounds base with every job raised in turn."""
-    lo, mp = inst.release_lo[None], inst.min_proc[None]
-    return scaled_combined_rows(lo, mp, lo, inst.release_hi[None], mp, inst.m)[0]
+    the all-lower-bounds base with every job raised in turn.
+
+    The bounds depend on the instance alone, so the kernel runs once per
+    instance; the read-only result is kept on the instance, beside its
+    arrays, for the builders and every later evaluation."""
+    bounds = vars(inst).get("_scaled_extreme_bounds")
+    if bounds is None:
+        lo, mp = inst.release_lo[None], inst.min_proc[None]
+        bounds = scaled_combined_rows(lo, mp, lo, inst.release_hi[None], mp, inst.m)[0]
+        bounds.setflags(write=False)
+        vars(inst)["_scaled_extreme_bounds"] = bounds
+    return bounds
 
 
 def relaxed_regret(

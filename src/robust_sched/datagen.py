@@ -110,12 +110,7 @@ def generate(params: GenParams, seed: int) -> Instance:
     width = np.floor(averaged * offsets + 0.5).astype(np.int64)  # round half up
     release_hi = release_lo + width
 
-    return Instance(
-        p=tuple(tuple(int(v) for v in row) for row in p),
-        release=tuple(
-            (int(lo), int(hi)) for lo, hi in zip(release_lo, release_hi)
-        ),
-    )
+    return Instance(p=p, release=np.stack((release_lo, release_hi), axis=1))
 
 
 def provenance(params: GenParams, seed: int) -> dict:
@@ -165,10 +160,10 @@ def derive_family(
         survivors.extend(jobs[k] for k in sorted(int(v) for v in picked))
 
     return Instance(
-        p=tuple(
-            tuple(base.p[i][j] for j in survivors) for i in range(target_m)
+        p=base.p_array[:target_m, survivors],
+        release=np.stack(
+            (base.release_lo[survivors], base.release_hi[survivors]), axis=1
         ),
-        release=tuple(base.release[j] for j in survivors),
     )
 
 

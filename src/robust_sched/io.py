@@ -13,14 +13,17 @@ All indices in files are 0-based. Formats:
   "combined": number, "perJob": {"job": [number, int], ...}}``
 
 Fractional values (averaged bounds, relaxed regrets) are written as floats.
-Serialization is deterministic: sorted keys, fixed separators, a trailing
-newline.
+Serialization is deterministic: sorted keys, an indent of two spaces, a
+trailing newline, byte for byte what ``json.dumps(..., sort_keys=True,
+indent=2)`` writes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -56,8 +59,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     try:
-        p = tuple(map(tuple, data["p"]))
-        release = tuple(map(tuple, data["release"]))
+        p, release = data["p"], data["release"]
         m, n = data.get("m"), data.get("n")
         _check_ints((m, n), *p, *release)
         inst = Instance(p=p, release=release)
@@ -97,13 +99,12 @@ def scenario_from_dict(data: dict) -> Scenario:
 def regret_report_to_dict(report: RegretReport) -> dict:
     # a relaxed report shares one Fraction among all jobs with equal terms,
     # so each distinct term object is converted once
-    numbers: dict[int, int | float] = {}
-    per_scenario = {}
-    for job, term in report.per_scenario.items():
-        key = id(term)
-        if key not in numbers:
-            numbers[key] = _number(term)
-        per_scenario[str(job)] = numbers[key]
+    terms = report.per_scenario.values()
+    distinct = dict(zip(map(id, terms), terms))
+    numbers = {key: _number(term) for key, term in distinct.items()}
+    per_scenario = dict(zip(
+        map(str, report.per_scenario), map(numbers.__getitem__, map(id, terms))
+    ))
     return {
         "value": _number(report.value),
         "scenario": None
@@ -143,8 +144,43 @@ def bounds_report_to_dict(report: BoundsReport) -> dict:
     }
 
 
+_INDENT = "  "
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """C-encoder ``encode`` for a container of scalars whose items sit at
+    nesting depth ``depth``: the item separator carries their newline and
+    indent."""
+    separator = ",\n" + _INDENT * depth
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+
+
+def _encode(value: Any, depth: int) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
+    at nesting depth ``depth``. Object keys are strings."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _flat_encoder(depth)(value)  # a scalar, or "{}" / "[]"
+    is_object = isinstance(value, dict)
+    children = value.values() if is_object else value
+    inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
+    if not any(map(isinstance, children, itertools.repeat((dict, list, tuple)))):
+        text = _flat_encoder(depth + 1)(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if is_object:
+        items = [f"{encode_basestring_ascii(name)}: {_encode(child, depth + 1)}"
+                 for name, child in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    items = [_encode(child, depth + 1) for child in value]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
 def dumps(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """The document with sorted keys, an indent of two spaces and a trailing
+    newline: the bytes of ``json.dumps(document, sort_keys=True, indent=2)``
+    plus ``"\\n"``, written by one C-encoder call per container of scalars
+    rather than by the pure-Python indenting encoder."""
+    return _encode(document, 0) + "\n"
 
 
 def write_json(path: str | Path, document: dict) -> str:
@@ -159,6 +195,10 @@ def read_json(path: str | Path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return data

@@ -17,8 +17,8 @@ Scoring a fixed schedule runs no Python loop over its jobs. One per-machine
 pass chains a scenario's completions in numpy: :func:`completion_profile`
 reads them, the extreme makespans start from the all-lower-bounds chain, and
 a job is covered (its extreme scenario redundant) where its predecessor's
-completion in that chain reaches its upper release. A valid schedule passes
-validation with one sorted comparison.
+completion in that chain reaches its upper release. A schedule's jobs are
+sorted once: every later validation of it compares two sizes.
 
 Jobs and machines are indexed 0-based throughout the API; human-readable
 messages label them 1-based.
@@ -26,7 +26,6 @@ messages label them 1-based.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +49,29 @@ def _int_tuple(values: Iterable) -> tuple[int, ...]:
     return tuple(map(as_int, values))
 
 
+def _int64_table(values) -> np.ndarray | None:
+    """``values`` read by numpy in one conversion, or None where that does
+    not give a 2-D int64 table: other entry types, ragged or empty rows."""
+    try:
+        table = np.array(values, order="C")
+    except ValueError:  # ragged rows
+        return None
+    return table if table.dtype == np.int64 and table.ndim == 2 else None
+
+
+def _exact_tables(p, release) -> tuple[np.ndarray, np.ndarray]:
+    """The processing times and release intervals converted entry by entry,
+    in object arrays of exact Python ints: floats and strings raise
+    TypeError, and values past int64 stay exact for the checks that refuse
+    them. Ragged rows come back as a 1-D array of rows."""
+    rows = [_int_tuple(row) for row in p]
+    intervals = [(as_int(lo), as_int(hi)) for lo, hi in release]
+    return (
+        np.array(rows, dtype=object),
+        np.array(intervals, dtype=object).reshape(-1, 2),
+    )
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: processing-time matrix plus release-date intervals.
@@ -63,42 +85,56 @@ class Instance:
     completion time exceeds the largest upper release plus every job's
     slowest processing time. Instances where ``m`` times that could reach
     ``2**62`` are refused, so that no kernel wraps silently.
+
+    One numpy conversion reads ``p`` and ``release`` and gives the read-only
+    int64 arrays ``p_array``, ``release_lo`` and ``release_hi`` as well as
+    the tuples of Python ints the fields hold. Only input numpy does not
+    read as int64 tables is converted entry by entry.
     """
 
     p: tuple[tuple[int, ...], ...]
     release: tuple[tuple[int, int], ...]
+    p_array: np.ndarray = field(init=False, repr=False, compare=False)
+    release_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    release_hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(_int_tuple(row) for row in self.p)
-        intervals = tuple((as_int(lo), as_int(hi)) for lo, hi in self.release)
-        object.__setattr__(self, "p", rows)
-        object.__setattr__(self, "release", intervals)
-        if not rows:
+        p, release = _int64_table(self.p), _int64_table(self.release)
+        if p is None or release is None or release.shape[1] != 2:
+            p, release = _exact_tables(self.p, self.release)
+        if len(p) == 0:
             raise ValueError("instance needs at least one machine")
-        n = len(rows[0])
+        n = len(p[0])
         if n == 0:
             raise ValueError("instance needs at least one job")
-        if any(len(row) != n for row in rows):
+        if p.ndim != 2:
             raise ValueError("processing-time rows have unequal lengths")
-        if len(intervals) != n:
-            raise ValueError(
-                f"expected {n} release intervals, got {len(intervals)}"
-            )
-        if min(map(min, rows)) <= 0:
+        if len(release) != n:
+            raise ValueError(f"expected {n} release intervals, got {len(release)}")
+        if p.min() <= 0:
             raise ValueError("processing times must be positive")
-        lows, highs = zip(*intervals)
-        if min(lows) < 0 or any(map(operator.gt, lows, highs)):
-            j = next(j for j, (lo, hi) in enumerate(intervals) if not 0 <= lo <= hi)
+        lo, hi = release.T
+        bad = (lo < 0) | (lo > hi)
+        if bad.any():
             raise ValueError(
-                f"release interval of job {j + 1} must satisfy 0 <= lo <= hi"
+                f"release interval of job {int(bad.argmax()) + 1} must satisfy "
+                "0 <= lo <= hi"
             )
-        horizon = max(highs) + sum(map(max, zip(*rows)))
-        if len(rows) * horizon >= 2**62:
+        # in Python ints: the int64 column sums could wrap near the limit
+        horizon = int(hi.max()) + sum(p.max(axis=0).tolist())
+        if len(p) * horizon >= 2**62:
             raise ValueError(
                 "instance too large for exact int64 arithmetic: machines x "
                 "(largest upper release + total slowest processing time) "
                 "must stay below 2**62"
             )
+        p = p.astype(np.int64, copy=False)
+        lo, hi = np.array(release.T, dtype=np.int64, order="C")  # contiguous rows
+        for name, value in (("p_array", p), ("release_lo", lo), ("release_hi", hi)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "p", tuple(map(tuple, p.tolist())))
+        object.__setattr__(self, "release", tuple(zip(lo.tolist(), hi.tolist())))
 
     @property
     def n(self) -> int:
@@ -109,24 +145,6 @@ class Instance:
     def m(self) -> int:
         """Number of machines."""
         return len(self.p)
-
-    @cached_property
-    def p_array(self) -> np.ndarray:
-        arr = np.array(self.p, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def release_lo(self) -> np.ndarray:
-        arr = np.array([lo for lo, _ in self.release], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def release_hi(self) -> np.ndarray:
-        arr = np.array([hi for _, hi in self.release], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
 
     @cached_property
     def min_proc(self) -> np.ndarray:
@@ -186,6 +204,14 @@ class Schedule:
                 table.setdefault(job, (i, k))
         return table
 
+    @cached_property
+    def permutation_size(self) -> int | None:
+        """``n`` when the sequences hold every job ``0..n-1`` exactly once,
+        else None: the part of validity that does not depend on the
+        instance, found by one sort per schedule."""
+        jobs = sorted(itertools.chain.from_iterable(self.machines))
+        return len(jobs) if jobs == list(range(len(jobs))) else None
+
     def job_count(self) -> int:
         return sum(len(seq) for seq in self.machines)
 
@@ -242,7 +268,7 @@ def validate_schedule(schedule: Schedule, inst: Instance) -> ScheduleViolation |
             ),
         )
     n = inst.n
-    if sorted(itertools.chain.from_iterable(schedule.machines)) == list(range(n)):
+    if schedule.permutation_size == n:
         return None
     # invalid: find the first violation in schedule order
     seen = [False] * n

@@ -43,11 +43,18 @@ oracle's later one kernel call over n bases, and
 scenario from a few kernel calls: the floors of the oracle's reverse scan,
 which may be above them. ``relabel_jobs``, which renames jobs for the
 invariance tests, lives here too: the package never calls it.
+
+``reference_dumps`` is the pinned file writer, Python's indenting JSON
+encoder, against which ``io.dumps`` and its C-encoder calls must match byte
+for byte. ``reference_instance_tables`` is the ``Instance`` constructor's
+conversion and checks entry by entry, against which the one numpy
+conversion must accept and refuse the same inputs with the same errors.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import operator
 from fractions import Fraction
 
@@ -831,3 +838,42 @@ def reference_regret_upper_bound(schedule, inst):
             if best is None or term > best:
                 best = term
     return 0 if best is None else best
+
+
+def reference_instance_tables(p, release):
+    """The ``Instance`` constructor's conversion and checks as they were
+    written entry by entry: ``operator.index`` on every entry, then the
+    shape, sign, interval and 2**62 horizon checks on Python ints. Returns
+    the ``(p, release)`` tuples, or raises what the constructor raised."""
+    rows = tuple(tuple(map(operator.index, row)) for row in p)
+    intervals = tuple((operator.index(lo), operator.index(hi)) for lo, hi in release)
+    if not rows:
+        raise ValueError("instance needs at least one machine")
+    n = len(rows[0])
+    if n == 0:
+        raise ValueError("instance needs at least one job")
+    if any(len(row) != n for row in rows):
+        raise ValueError("processing-time rows have unequal lengths")
+    if len(intervals) != n:
+        raise ValueError(f"expected {n} release intervals, got {len(intervals)}")
+    if min(map(min, rows)) <= 0:
+        raise ValueError("processing times must be positive")
+    lows, highs = zip(*intervals)
+    if min(lows) < 0 or any(map(operator.gt, lows, highs)):
+        j = next(j for j, (lo, hi) in enumerate(intervals) if not 0 <= lo <= hi)
+        raise ValueError(
+            f"release interval of job {j + 1} must satisfy 0 <= lo <= hi"
+        )
+    horizon = max(highs) + sum(map(max, zip(*rows)))
+    if len(rows) * horizon >= 2**62:
+        raise ValueError(
+            "instance too large for exact int64 arithmetic: machines x "
+            "(largest upper release + total slowest processing time) "
+            "must stay below 2**62"
+        )
+    return rows, intervals
+
+
+def reference_dumps(document):
+    """The pinned bytes of every file the package writes."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"

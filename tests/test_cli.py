@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -149,6 +152,27 @@ class TestEvaluate:
         diagnostic = json.loads(captured.err)
         assert diagnostic["error"] == "ValueError"
         assert "time budget" in diagnostic["message"]
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"[" * 200_000, "nested too deeply"),
+        ('{"m": "\u00e9"}'.encode("latin-1"), "not UTF-8"),
+    ], ids=["deep", "latin-1"])
+    def test_unreadable_file_is_a_clean_format_error(
+        self, small_instance_file, tmp_path, capsys, content, reason
+    ):
+        sched = self._schedule_file(tmp_path, small_instance_file)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        for instance, schedule in ((bad, sched), (small_instance_file, bad)):
+            assert run(["evaluate", "--instance", instance, "--schedule", schedule,
+                        "--mode", "relaxed"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            diagnostic = json.loads(captured.err)
+            assert diagnostic["error"] == "FormatError"
+            assert str(bad) in diagnostic["message"]
+            assert reason in diagnostic["message"]
 
     def test_report_written_to_file(self, small_instance_file, tmp_path):
         sched = self._schedule_file(tmp_path, small_instance_file)
@@ -394,6 +418,45 @@ class TestCheckOutputIsPinned:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert json.loads(captured.err)["error"] == "ValueError"
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once; each call must still print what the
+    same command prints in a process of its own."""
+
+    @staticmethod
+    def alone(argv):
+        child = subprocess.run(
+            [sys.executable, "-m", "robust_sched", *map(str, argv)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        return child.returncode, child.stdout, child.stderr
+
+    def test_calls_in_one_process_print_what_each_prints_alone(
+        self, small_instance_file, tmp_path, capsys
+    ):
+        sched = tmp_path / "sched.json"
+        assert run(["solve", "--instance", small_instance_file, "--algo", "pr",
+                    "--out", sched]) == 0
+        evaluate = ["evaluate", "--instance", small_instance_file,
+                    "--schedule", sched, "--mode", "exact"]
+        check = ["check", "--instance", small_instance_file, "--grid-points", "3"]
+        bad_flags = ["evaluate", "--instance", small_instance_file, "--mode", "grid"]
+        capsys.readouterr()
+        seen = []
+        for argv in (evaluate, check, evaluate, bad_flags, check, evaluate):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in seen] == [0, 0, 0, 2, 0, 0]
+        for argv, (code, out, err) in zip((evaluate, check), seen[:2]):
+            assert self.alone(argv) == (code, out, err)
+        assert seen[2] == seen[5] == seen[0] and seen[4] == seen[1]
+        assert self.alone(bad_flags) == seen[3]
 
 
 class TestOracleFlags:

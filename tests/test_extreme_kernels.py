@@ -13,15 +13,18 @@ import pytest
 from hypothesis import given, settings
 
 from robust_sched import (
+    HeuristicConfig,
     Instance,
     Schedule,
+    build_schedule,
     generate,
     pm,
     random_schedule,
     regret_upper_bound,
     relaxed_regret,
 )
-from robust_sched.bounds import scaled_extreme_bounds
+from robust_sched import bounds as bounds_module
+from robust_sched.bounds import scaled_combined_rows, scaled_extreme_bounds
 from robust_sched.datagen import params_for_dataset
 from robust_sched.model import extreme_makespans
 
@@ -30,6 +33,8 @@ from conftest import instance_and_schedule, random_instance, random_valid_schedu
 
 
 def assert_kernels_match(inst, schedule):
+    # a fresh instance: the kernel runs here, no kept result is read
+    assert "_scaled_extreme_bounds" not in vars(inst)
     assert np.array_equal(scaled_extreme_bounds(inst), reference_extreme_bounds(inst))
     assert np.array_equal(
         extreme_makespans(schedule, inst), reference_extreme_makespans(schedule, inst)
@@ -96,6 +101,7 @@ def test_batched_terms_inside_a_raised_range():
 @pytest.mark.parametrize("n, m, seed", [(500, 1, 4), (500, 20, 5), (1000, 5, 6)])
 def test_kernels_match_reference_at_scale(dataset, n, m, seed):
     inst = generate(params_for_dataset(dataset, n, m), seed)
+    assert "_scaled_extreme_bounds" not in vars(inst)
     assert np.array_equal(scaled_extreme_bounds(inst), reference_extreme_bounds(inst))
     for schedule in (pm(inst), random_schedule(inst, seed)):
         assert np.array_equal(
@@ -119,3 +125,35 @@ def test_scoring_at_n_100000_stays_small():
     assert len(report.per_scenario) == n
     assert report.value >= 0 and upper >= 0
     assert peak < 100 * 2**20
+
+
+def test_extreme_bounds_are_kept_read_only_on_the_instance():
+    inst = generate(params_for_dataset("DS2", 300, 5), 8)
+    bounds = scaled_extreme_bounds(inst)
+    assert not bounds.flags.writeable
+    assert scaled_extreme_bounds(inst) is bounds
+    lo, mp = inst.release_lo[None], inst.min_proc[None]
+    fresh = scaled_combined_rows(lo, mp, lo, inst.release_hi[None], mp, inst.m)[0]
+    assert np.array_equal(bounds, fresh)
+    with pytest.raises(ValueError):
+        bounds[0] = 0
+
+
+def test_one_kernel_call_serves_pr_pre_and_relaxed_regret(monkeypatch):
+    calls = []
+    kernel = bounds_module.scaled_combined_rows
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(bounds_module, "scaled_combined_rows", counted)
+    inst = generate(params_for_dataset("DS1", 150, 5), 9)
+    for algorithm in ("pr", "pre"):
+        schedule = build_schedule(inst, HeuristicConfig(algorithm=algorithm))
+        relaxed_regret(schedule, inst)
+        relaxed_regret(schedule, inst, effective_only=True)
+    assert calls == [(1, inst.n)]
+    # another Instance of the same tables runs the kernel again
+    relaxed_regret(schedule, Instance(p=inst.p, release=inst.release))
+    assert len(calls) == 2
