@@ -58,10 +58,16 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    return _instance_from_dict(data, scan=True)
+
+
+def _instance_from_dict(data: dict, scan: bool) -> Instance:
+    """``instance_from_dict``, with the boolean scan only when ``scan``."""
     try:
         p, release = data["p"], data["release"]
         m, n = data.get("m"), data.get("n")
-        _check_ints((m, n), *p, *release)
+        if scan:
+            _check_ints((m, n), *p, *release)
         inst = Instance(p=p, release=release)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad instance document: {exc}") from exc
@@ -75,9 +81,15 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> Schedule:
+    return _schedule_from_dict(data, scan=True)
+
+
+def _schedule_from_dict(data: dict, scan: bool) -> Schedule:
+    """``schedule_from_dict``, with the boolean scan only when ``scan``."""
     try:
         machines = tuple(map(tuple, data["machines"]))
-        _check_ints(*machines)
+        if scan:
+            _check_ints(*machines)
         return Schedule(machines=machines)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad schedule document: {exc}") from exc
@@ -190,9 +202,12 @@ def write_json(path: str | Path, document: dict) -> str:
     return text
 
 
-def read_json(path: str | Path) -> dict:
+def _load(path: str | Path) -> tuple[dict, bool]:
+    """The JSON object in the file, and whether its text could hold a
+    boolean: JSON writes one only as the literal ``true`` or ``false``."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
@@ -201,15 +216,19 @@ def read_json(path: str | Path) -> dict:
         raise FormatError(f"{path}: JSON nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    return data
+    return data, "true" in text or "false" in text
+
+
+def read_json(path: str | Path) -> dict:
+    return _load(path)[0]
 
 
 def read_instance(path: str | Path) -> Instance:
-    return instance_from_dict(read_json(path))
+    return _instance_from_dict(*_load(path))
 
 
 def read_schedule(path: str | Path) -> Schedule:
-    return schedule_from_dict(read_json(path))
+    return _schedule_from_dict(*_load(path))
 
 
 def read_scenario(path: str | Path) -> Scenario:

@@ -445,6 +445,14 @@ def exhaustive_min_regret(
     machines; a later hand-off of the same jobs to machine ``i`` is skipped
     while that floor is at least the best. The memo lives for one call.
 
+    On the last machine every job still left has to follow the one
+    appended, so under every extreme scenario that machine finishes at least
+    their total time there later. A child whose partial regret plus that
+    remaining work reaches the best is skipped: the bound cuts only subtrees
+    with no leaf below the best, so it changes neither the result nor the
+    floors the memo records. The remaining work is a running total passed
+    down the search.
+
     The optima and the enumeration share one ``limits.time_budget``. Cut
     short before any complete schedule at or below the bound, the call
     returns the schedule found for the first extreme scenario, scored
@@ -453,6 +461,7 @@ def exhaustive_min_regret(
     _check_limits(inst, limits)
     n, m = inst.n, inst.m
     p = inst.p
+    last = p[m - 1]
     lo, hi = inst.release_lo.tolist(), inst.release_hi.tolist()
 
     deadline = _Deadline(limits.time_budget)
@@ -478,21 +487,23 @@ def exhaustive_min_regret(
 
     def dfs(
         machine: int, remaining: tuple[int, ...], floor: int, done: list[int],
-        value: int,
+        value: int, work: int,
     ) -> None:
         # floor: largest regret of a finished machine; done[t]: the current
         # machine's completion under extreme scenario t; value: the partial
-        # regret, below best_regret
+        # regret, below best_regret; work: the last machine's total time for
+        # the remaining jobs
         nonlocal best_regret, best_machines
         deadline.check()
         if not remaining:
             best_regret = value
             best_machines = tuple(tuple(seq) for seq in machines)
             return
-        if machine < m - 1:
+        on_last = machine == m - 1
+        if not on_last:
             key = (machine + 1, remaining)
             if below.get(key, value) < best_regret:  # unrecorded: value is below
-                dfs(machine + 1, remaining, value, [0] * n, value)
+                dfs(machine + 1, remaining, value, [0] * n, value, work)
                 if value < best_regret:
                     below[key] = best_regret
         for pick, job in enumerate(remaining):
@@ -500,16 +511,20 @@ def exhaustive_min_regret(
             # scenario t releases the job at hi if t == job, else at lo
             appended = [cost + (finish if finish > low else low) for finish in done]
             appended[job] = cost + max(done[job], hi[job])
-            grown = max(floor, max(map(operator.sub, appended, opts)))
-            if grown < best_regret:
+            excess = max(map(operator.sub, appended, opts))
+            work_after = work - last[job]
+            grown = max(floor, excess)
+            if grown < best_regret and (
+                not on_last or excess + work_after < best_regret
+            ):
                 machines[machine].append(job)
                 rest = remaining[:pick] + remaining[pick + 1 :]
-                dfs(machine, rest, floor, appended, grown)
+                dfs(machine, rest, floor, appended, grown, work_after)
                 machines[machine].pop()
 
     empty = -min(opts)  # an empty machine's regret
     try:
-        dfs(0, tuple(range(n)), empty, [0] * n, empty)
+        dfs(0, tuple(range(n)), empty, [0] * n, empty, sum(last))
     except _BudgetExhausted:
         certified = False
     if best_machines is None:  # budget hit before a leaf within the bound

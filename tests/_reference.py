@@ -19,7 +19,9 @@ reference of the always-pruned ``optimal_makespan``.
 an (m, n) table of completions under every extreme scenario and rescanned
 it at each node: the reference of ``exhaustive_min_regret``, which keeps
 one completion per extreme scenario and the largest regret of the
-finished machines.
+finished machines. ``reference_memo_min_regret`` is that search as it
+stood before the remaining-work bound on the last machine: the start bound,
+the child prune and the hand-off memo, and nothing more.
 ``reference_completion_profile`` is the scalar chain loop that
 ``completion_profile`` replaced with the closed form of the chain rule.
 ``reference_release_row_optima`` tries all mⁿ job-to-machine assignments
@@ -561,6 +563,108 @@ def reference_exhaustive_min_regret(
         best_machines = fallback.machines
         values = extreme_makespans(fallback, inst)
         best_regret = max(map(operator.sub, values.tolist(), opts))
+    return MinRegretResult(
+        schedule=Schedule(machines=best_machines),
+        regret=int(best_regret),
+        certified=certified,
+    )
+
+
+def reference_memo_min_regret(
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+) -> MinRegretResult:
+    """Schedule minimizing the exact worst-case regret, by full enumeration.
+
+    Per-machine sequences are enumerated in lexicographic order of the
+    schedule encoding, so ties resolve to the lexicographically smallest
+    optimal schedule. The partial worst-case regret only grows as jobs are
+    appended, which gives the result-preserving prune; each child is tested
+    before it is called.
+
+    Machines are filled in order and never revisited, and the regret of a
+    schedule is the largest regret of one of its machines, so the search
+    keeps one completion per extreme scenario and a node costs O(n).
+
+    The search starts from a bound, not an incumbent: the optimum is at most
+    the smallest regret of the extreme scenarios' optimal schedules, so only
+    leaves at or below it are kept, and the first optimum in the order is
+    never cut. What machines ``i`` onward add to the regret depends only on
+    ``i`` and the jobs left to them, so a hand-off to machine ``i`` whose
+    search returns with the finished machines' regret still below the best
+    records that best as a floor of every schedule of those jobs on those
+    machines; a later hand-off of the same jobs to machine ``i`` is skipped
+    while that floor is at least the best. The memo lives for one call.
+
+    The optima and the enumeration share one ``limits.time_budget``. Cut
+    short before any complete schedule at or below the bound, the call
+    returns the schedule found for the first extreme scenario, scored
+    against the optima at hand.
+    """
+    _check_limits(inst, limits)
+    n, m = inst.n, inst.m
+    p = inst.p
+    lo, hi = inst.release_lo.tolist(), inst.release_hi.tolist()
+
+    deadline = _Deadline(limits.time_budget)
+    optima = [
+        optimal_makespan(inst, extreme_scenario(inst, j), limits, deadline=deadline)
+        for j in range(n)
+    ]
+    opts = [result.makespan for result in optima]
+    certified = all(result.certified for result in optima)
+    # a cut optimum means the clock has run out: the search stops at its
+    # first node, and only the fallback's regret is read
+    start_regrets = [
+        max(map(operator.sub, extreme_makespans(result.schedule, inst).tolist(), opts))
+        for result in (optima if certified else optima[:1])
+    ]
+
+    machines: list[list[int]] = [[] for _ in range(m)]
+    best_regret = 1 + min(start_regrets)  # regrets are integers
+    best_machines: tuple[tuple[int, ...], ...] | None = None
+    # below[(i, jobs)]: every schedule of jobs on machines i onward has a
+    # regret of at least this
+    below: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def dfs(
+        machine: int, remaining: tuple[int, ...], floor: int, done: list[int],
+        value: int,
+    ) -> None:
+        # floor: largest regret of a finished machine; done[t]: the current
+        # machine's completion under extreme scenario t; value: the partial
+        # regret, below best_regret
+        nonlocal best_regret, best_machines
+        deadline.check()
+        if not remaining:
+            best_regret = value
+            best_machines = tuple(tuple(seq) for seq in machines)
+            return
+        if machine < m - 1:
+            key = (machine + 1, remaining)
+            if below.get(key, value) < best_regret:  # unrecorded: value is below
+                dfs(machine + 1, remaining, value, [0] * n, value)
+                if value < best_regret:
+                    below[key] = best_regret
+        for pick, job in enumerate(remaining):
+            cost, low = p[machine][job], lo[job]
+            # scenario t releases the job at hi if t == job, else at lo
+            appended = [cost + (finish if finish > low else low) for finish in done]
+            appended[job] = cost + max(done[job], hi[job])
+            grown = max(floor, max(map(operator.sub, appended, opts)))
+            if grown < best_regret:
+                machines[machine].append(job)
+                rest = remaining[:pick] + remaining[pick + 1 :]
+                dfs(machine, rest, floor, appended, grown)
+                machines[machine].pop()
+
+    empty = -min(opts)  # an empty machine's regret
+    try:
+        dfs(0, tuple(range(n)), empty, [0] * n, empty)
+    except _BudgetExhausted:
+        certified = False
+    if best_machines is None:  # budget hit before a leaf within the bound
+        best_machines = optima[0].schedule.machines
+        best_regret = start_regrets[0]
     return MinRegretResult(
         schedule=Schedule(machines=best_machines),
         regret=int(best_regret),

@@ -56,6 +56,37 @@ def test_schedule_and_scenario_reject_booleans():
         io.scenario_from_dict({"r": [2, False]})
 
 
+def test_read_instance_refuses_a_boolean_in_the_file(inst, tmp_path):
+    path = tmp_path / "inst.json"
+    text = io.dumps(io.instance_to_dict(inst))
+    path.write_text(text.replace("7", "true", 1), encoding="utf-8")
+    with pytest.raises(io.FormatError):
+        io.read_instance(path)
+    path.write_text('{"machines": [[0], [true]]}', encoding="utf-8")
+    with pytest.raises(io.FormatError):
+        io.read_schedule(path)
+
+
+def test_read_instance_scans_only_text_that_could_hold_a_boolean(
+    inst, tmp_path, monkeypatch
+):
+    scans = []
+    check_ints = io._check_ints
+    monkeypatch.setattr(
+        io, "_check_ints", lambda *arrays: scans.append(1) or check_ints(*arrays)
+    )
+    document = io.instance_to_dict(inst)
+    path = tmp_path / "inst.json"
+    io.write_json(path, document)
+    assert io.read_instance(path) == inst
+    assert scans == []
+    # a "true" in a string is no boolean, but the text still gets the scan
+    document["provenance"] = {"note": "true to the paper's generator"}
+    io.write_json(path, document)
+    assert io.read_instance(path) == inst
+    assert scans == [1]
+
+
 def test_instance_ignores_provenance_key(inst, tmp_path):
     document = io.instance_to_dict(inst)
     document["provenance"] = {"seed": 1}

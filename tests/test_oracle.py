@@ -37,6 +37,7 @@ from robust_sched.oracle import (
 from _reference import (
     extreme_release_matrix,
     reference_exhaustive_min_regret,
+    reference_memo_min_regret,
     reference_optimal_makespan,
     reference_release_row_optima,
 )
@@ -470,6 +471,37 @@ class TestExhaustiveMinRegret:
                 assert exhaustive_min_regret(inst, limits) == (
                     reference_exhaustive_min_regret(inst, limits)
                 )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("m", (2, 3))
+    @pytest.mark.parametrize("n", (9, 10))
+    def test_matches_the_search_without_the_remaining_work_bound(self, n, m, seed):
+        # past the default limit, where the bound cuts most: same regret,
+        # schedule and flag, unbudgeted and with an expired budget
+        inst = generate(GenParams(n=n, m=m, r_domain_hi=30, segments=2), seed)
+        for limits in (
+            OracleLimits(max_jobs=10),
+            OracleLimits(max_jobs=10, time_budget=0.0),
+        ):
+            assert exhaustive_min_regret(inst, limits) == (
+                reference_memo_min_regret(inst, limits)
+            )
+
+    def test_one_machine_matches_brute_force(self, rng):
+        # with one machine every node is on the last one and nothing is
+        # handed off; at each final append the bound equals the leaf's
+        # regret, so a bound that cut one unit early would lose the optimum
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            p = (tuple(rng.randint(1, 3) for _ in range(n)),)
+            lows = [rng.randint(0, 4) for _ in range(n)]
+            release = tuple((lo, lo + rng.randint(0, 3)) for lo in lows)
+            inst = Instance(p=p, release=release)
+            best = exhaustive_min_regret(inst)
+            assert best.certified
+            assert (best.regret, best.schedule.machines) == (
+                brute_min_regret_schedule(inst.p, inst.release)
+            )
 
     @pytest.mark.parametrize(
         "inst",
