@@ -17,8 +17,11 @@ Scoring a fixed schedule runs no Python loop over its jobs. One per-machine
 pass chains a scenario's completions in numpy: :func:`completion_profile`
 reads them, the extreme makespans start from the all-lower-bounds chain, and
 a job is covered (its extreme scenario redundant) where its predecessor's
-completion in that chain reaches its upper release. A schedule's jobs are
-sorted once: every later validation of it compares two sizes.
+completion in that chain reaches its upper release. The extreme makespans
+and the covered jobs come from one walk of that chain, kept read-only on the
+schedule for the instance it was scored on, so every scorer of one
+(schedule, instance) pair shares it. A schedule's jobs are sorted once:
+every later validation of it compares two sizes.
 
 Jobs and machines are indexed 0-based throughout the API; human-readable
 messages label them 1-based.
@@ -359,16 +362,13 @@ def extreme_scenario(inst: Instance, job: int) -> Scenario:
     """All release dates at their lower bounds except ``job`` at its upper."""
     if job < 0 or job >= inst.n:
         raise IndexError(f"job index {job} out of range for {inst.n} jobs")
-    return _raised(lower_scenario(inst).r, job, inst.release[job][1])
+    lows = lower_scenario(inst).r
+    return Scenario._of(lows[:job] + (inst.release[job][1],) + lows[job + 1:])
 
 
 def lower_scenario(inst: Instance) -> Scenario:
     """Every release date at its lower bound."""
     return Scenario._of(tuple(inst.release_lo.tolist()))
-
-
-def _raised(lows: tuple[int, ...], job: int, value: int) -> Scenario:
-    return Scenario._of(lows[:job] + (value,) + lows[job + 1:])
 
 
 def extreme_scenarios(inst: Instance) -> list[Scenario]:
@@ -404,8 +404,9 @@ def _base_chains(schedule: Schedule, inst: Instance, release: np.ndarray):
             yield i, jobs, proc, chain, done
 
 
-def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
-    """Vector of makespans under each extreme scenario, indexed by raised job.
+def _extreme_pass(schedule: Schedule, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The extreme makespans and the covered mask, from one walk of the base
+    chains under the lower releases.
 
     Raising job j changes only its own machine. There, the chain step
     ``x -> p + max(x, lo)`` of every later job is the max-plus map
@@ -413,13 +414,23 @@ def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
     ``x -> max(x + A, B)``. One backward pass per machine gives the map of
     each suffix, so each makespan is one map applied to the raised job's
     completion, against the largest base completion of the other machines.
-    """
+    A job is covered where its predecessor's base completion reaches its
+    upper release.
+
+    Both arrays are read-only and kept on the schedule with the instance
+    they were computed for; a later call on that same instance object reads
+    them. The schedule must be valid."""
+    kept = vars(schedule).get("_extreme_pass")
+    if kept is not None and kept[0] is inst:
+        return kept[1], kept[2]
     lo, hi = inst.release_lo, inst.release_hi
     own = np.empty(inst.n, dtype=np.int64)  # makespan of the raised job's machine
     home = np.empty(inst.n, dtype=np.int64)
     finals = np.zeros(inst.m, dtype=np.int64)
+    covered = np.zeros(inst.n, dtype=bool)
     for i, jobs, proc, chain, done in _base_chains(schedule, inst, lo):
         finals[i] = done[-1]
+        covered[jobs[1:]] = done[:-1] >= hi[jobs[1:]]
         # map of the jobs after position k: x -> max(x + shift_k, floor_k)
         shift = chain[-1] - chain
         floor = np.maximum.accumulate((lo[jobs] + proc + shift)[::-1])[::-1]
@@ -430,17 +441,24 @@ def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
     top = int(np.argmax(finals))
     others = np.full(inst.m, finals[top])
     others[top] = np.delete(finals, top).max(initial=0)
-    return np.maximum(own, others[home])
+    makespans = np.maximum(own, others[home])
+    makespans.setflags(write=False)
+    covered.setflags(write=False)
+    vars(schedule)["_extreme_pass"] = (inst, makespans, covered)
+    return makespans, covered
+
+
+def extreme_makespans(schedule: Schedule, inst: Instance) -> np.ndarray:
+    """Read-only vector of makespans under each extreme scenario, indexed by
+    raised job, from the pass of :func:`_extreme_pass`."""
+    return _extreme_pass(schedule, inst)[0]
 
 
 def covered_mask(schedule: Schedule, inst: Instance) -> np.ndarray:
-    """Boolean vector over jobs: True where the job is covered (see
-    :func:`covered_jobs`). The schedule must be valid."""
-    covered = np.zeros(inst.n, dtype=bool)
-    hi = inst.release_hi
-    for _, jobs, _, _, done in _base_chains(schedule, inst, inst.release_lo):
-        covered[jobs[1:]] = done[:-1] >= hi[jobs[1:]]
-    return covered
+    """Read-only boolean vector over jobs: True where the job is covered
+    (see :func:`covered_jobs`), from the pass of :func:`_extreme_pass`. The
+    schedule must be valid."""
+    return _extreme_pass(schedule, inst)[1]
 
 
 def covered_jobs(schedule: Schedule, inst: Instance) -> frozenset[int]:
@@ -450,7 +468,8 @@ def covered_jobs(schedule: Schedule, inst: Instance) -> frozenset[int]:
     scenario) finishes no earlier than the job's upper release bound can never
     shift the makespan through its release date, so its extreme scenario is
     redundant. The predecessors' completions are the base chain that
-    :func:`extreme_makespans` starts from.
+    :func:`extreme_makespans` starts from, and both are read from the one
+    pass kept on the schedule for the instance.
     """
     ensure_valid_schedule(schedule, inst)
     return frozenset(np.flatnonzero(covered_mask(schedule, inst)).tolist())
@@ -461,11 +480,13 @@ def effective_scenarios(
 ) -> list[tuple[int, Scenario]]:
     """Extreme scenarios that can still attain the worst-case regret."""
     ensure_valid_schedule(schedule, inst)
-    lows = lower_scenario(inst).r
-    return [
-        (j, _raised(lows, j, inst.release[j][1]))
-        for j in np.flatnonzero(~covered_mask(schedule, inst)).tolist()
-    ]
+    row = inst.release_lo.tolist()
+    scenarios = []
+    for j in np.flatnonzero(~covered_mask(schedule, inst)).tolist():
+        row[j] = inst.release[j][1]
+        scenarios.append((j, Scenario._of(tuple(row))))
+        row[j] = inst.release[j][0]
+    return scenarios
 
 
 def regret_upper_bound(schedule: Schedule, inst: Instance) -> int:

@@ -33,8 +33,10 @@ from conftest import instance_and_schedule, random_instance, random_valid_schedu
 
 
 def assert_kernels_match(inst, schedule):
-    # a fresh instance: the kernel runs here, no kept result is read
+    # a fresh instance and schedule: the kernels run here, no kept result
+    # is read
     assert "_scaled_extreme_bounds" not in vars(inst)
+    assert "_extreme_pass" not in vars(schedule)
     assert np.array_equal(scaled_extreme_bounds(inst), reference_extreme_bounds(inst))
     assert np.array_equal(
         extreme_makespans(schedule, inst), reference_extreme_makespans(schedule, inst)
@@ -104,6 +106,7 @@ def test_kernels_match_reference_at_scale(dataset, n, m, seed):
     assert "_scaled_extreme_bounds" not in vars(inst)
     assert np.array_equal(scaled_extreme_bounds(inst), reference_extreme_bounds(inst))
     for schedule in (pm(inst), random_schedule(inst, seed)):
+        assert "_extreme_pass" not in vars(schedule)
         assert np.array_equal(
             extreme_makespans(schedule, inst),
             reference_extreme_makespans(schedule, inst),

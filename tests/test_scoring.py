@@ -4,7 +4,9 @@
 the base chain in numpy, ``validate_schedule`` accepts a valid schedule with
 one sorted comparison, and ``relaxed_regret`` shares one ``Fraction`` per
 distinct term. ``_reference`` keeps the scalar loops; both must agree
-exactly, at desk scale and on generated instances at n >= 500.
+exactly, at desk scale and on generated instances at n >= 500. The scorers
+of one (schedule, instance) pair share one walk of the base chain, kept on
+the schedule for that instance object alone.
 """
 from fractions import Fraction
 
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 
 from robust_sched import (
     Instance,
+    InvalidScheduleError,
     Schedule,
     covered_jobs,
     effective_scenarios,
+    exact_worst_case_regret,
     generate,
     pm,
     random_schedule,
@@ -25,13 +29,15 @@ from robust_sched import (
     relaxed_regret,
     validate_schedule,
 )
+from robust_sched import model
 from robust_sched.bounds import scaled_extreme_bounds
 from robust_sched.datagen import params_for_dataset
-from robust_sched.model import extreme_makespans
+from robust_sched.model import covered_mask, extreme_makespans
 
 from _reference import (
     reference_covered_jobs,
     reference_effective_scenarios,
+    reference_extreme_makespans,
     reference_regret_upper_bound,
     reference_validate_schedule,
 )
@@ -39,6 +45,8 @@ from conftest import instance_and_schedule
 
 
 def assert_scoring_matches(inst, schedule):
+    # a fresh schedule: the pass runs here, no kept one is read
+    assert "_extreme_pass" not in vars(schedule)
     machines = schedule.machines
     assert covered_jobs(schedule, inst) == reference_covered_jobs(
         machines, inst.p, inst.release
@@ -111,6 +119,7 @@ def assert_report_matches(inst, schedule, effective_only):
     """The report against one fresh ``Fraction`` per job, and its scenario
     against the lowest job of the largest term."""
     m = inst.m
+    assert "_extreme_pass" not in vars(schedule)
     terms = m * extreme_makespans(schedule, inst) - scaled_extreme_bounds(inst)
     skip = (
         reference_covered_jobs(schedule.machines, inst.p, inst.release)
@@ -142,3 +151,90 @@ def test_shared_report_terms_equal_fresh_fractions(effective_only):
     inst = generate(params_for_dataset("DS1", 2000, 20), 4)
     for schedule in (pm(inst), random_schedule(inst, 4)):
         assert_report_matches(inst, schedule, effective_only)
+
+
+def assert_pass_is_its_own(schedule, inst):
+    makespans, mask = extreme_makespans(schedule, inst), covered_mask(schedule, inst)
+    assert np.array_equal(makespans, reference_extreme_makespans(schedule, inst))
+    assert set(np.flatnonzero(mask).tolist()) == reference_covered_jobs(
+        schedule.machines, inst.p, inst.release
+    )
+    assert vars(schedule)["_extreme_pass"][0] is inst
+
+
+def test_the_kept_pass_follows_the_instance_object():
+    first = generate(params_for_dataset("DS1", 60, 3), 1)
+    second = generate(params_for_dataset("DS2", 60, 3), 2)
+    schedule = pm(first)
+    assert not np.array_equal(
+        reference_extreme_makespans(schedule, first),
+        reference_extreme_makespans(schedule, second),
+    )
+    for inst in (first, second, first, second):
+        assert_pass_is_its_own(schedule, inst)
+    # a second call on the same object reads the kept arrays
+    assert extreme_makespans(schedule, second) is extreme_makespans(schedule, second)
+    # equal tables in another object: computed again, not read
+    twins = (Instance(p=first.p, release=first.release),
+             Instance(p=first.p, release=first.release))
+    assert twins[0] == twins[1] == first
+    for inst in twins + twins:
+        kept = vars(schedule)["_extreme_pass"]
+        makespans = extreme_makespans(schedule, inst)
+        assert makespans is not kept[1]
+        assert_pass_is_its_own(schedule, inst)
+
+
+def test_the_kept_arrays_are_read_only():
+    inst = generate(params_for_dataset("DS1", 40, 3), 3)
+    schedule = random_schedule(inst, 3)
+    for array in (extreme_makespans(schedule, inst), covered_mask(schedule, inst)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+
+
+def test_one_pass_serves_every_scorer_of_a_pair(monkeypatch):
+    calls = []
+    chains = model._base_chains
+
+    def counted(schedule, inst, release):
+        calls.append(release is inst.release_lo)
+        return chains(schedule, inst, release)
+
+    monkeypatch.setattr(model, "_base_chains", counted)
+    inst = generate(params_for_dataset("DS2", 300, 5), 7)
+    schedule = random_schedule(inst, 7)
+    relaxed_regret(schedule, inst)
+    relaxed_regret(schedule, inst, effective_only=True)
+    regret_upper_bound(schedule, inst)
+    effective_scenarios(schedule, inst)
+    covered_jobs(schedule, inst)
+    assert calls == [True]
+    # another pair runs its own pass
+    relaxed_regret(random_schedule(inst, 8), inst)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n, m", [(5, 2), (3, 2), (4, 3), (4, 1)])
+def test_a_kept_pass_does_not_excuse_a_misfit(n, m):
+    fits = Instance(
+        p=((2, 3, 1, 4), (3, 1, 2, 2)), release=((0, 2), (1, 1), (0, 5), (2, 3))
+    )
+    schedule = Schedule(machines=((0, 1), (2, 3)))
+    relaxed_regret(schedule, fits)
+    assert vars(schedule)["_extreme_pass"][0] is fits
+    other = Instance(p=((1,) * n,) * m, release=((0, 1),) * n)
+    scorers = (
+        lambda: relaxed_regret(schedule, other),
+        lambda: relaxed_regret(schedule, other, effective_only=True),
+        lambda: regret_upper_bound(schedule, other),
+        lambda: effective_scenarios(schedule, other),
+        lambda: covered_jobs(schedule, other),
+        lambda: exact_worst_case_regret(schedule, other),
+        lambda: exact_worst_case_regret(schedule, other, effective_only=False),
+    )
+    for scorer in scorers:
+        with pytest.raises(InvalidScheduleError):
+            scorer()
+    assert vars(schedule)["_extreme_pass"][0] is fits
