@@ -32,6 +32,7 @@ from .heuristics import (
     build_schedule,
     detect_disjoint,
     detect_dominant_job,
+    detect_spill,
     pm,
 )
 from .model import extreme_scenarios, lower_scenario, regret_upper_bound
@@ -212,7 +213,7 @@ def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, st
     # a check without reports is skipped for the reason it names
     if not detect_disjoint(inst):
         checks.append(("disjoint intervals (condition not met)", None, None))
-    elif inst.m > 1 and _spills(inst):
+    elif inst.m > 1 and detect_spill(inst):
         checks.append(("disjoint intervals (processing spills over a gap)", None, None))
     else:
         checks.append(("disjoint intervals: pm is optimal", [exact["pm"]], pm_optimal))
@@ -228,19 +229,6 @@ def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, st
         else:
             results.append(("skip", f"{description} (budget cut a search)"))
     return results
-
-
-def _spills(inst) -> bool:
-    """True when, in release order, some job's upper release plus its
-    slowest processing time passes the next job's lower release. Only
-    without such a spill do disjoint intervals make ``pm`` optimal on
-    several machines."""
-    spans = sorted(range(inst.n), key=inst.release.__getitem__)
-    slowest = inst.p_array.max(axis=0).tolist()
-    return any(
-        inst.release[a][1] + slowest[a] > inst.release[b][0]
-        for a, b in zip(spans, spans[1:])
-    )
 
 
 def cmd_check(args: argparse.Namespace) -> int:

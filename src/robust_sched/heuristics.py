@@ -37,9 +37,9 @@ Two polynomial-case detectors flag instances on which the ``pm`` schedule
 can be worst-case-regret optimal. With one job whose upper release bound
 dominates everything else it is. With pairwise disjoint intervals it is on
 one machine, and on several only when no job's upper release plus its
-slowest processing time passes the next interval's lower release: where
-processing spills over a gap, the minimum regret of any schedule can be
-positive.
+slowest processing time passes the next interval's lower release
+(``detect_spill``): where processing spills over a gap, the minimum regret
+of any schedule can be positive.
 """
 from __future__ import annotations
 
@@ -240,9 +240,12 @@ def _short_bounds(
     return scaled_combined_rows(lo[jobs], mp[jobs], lo[jobs], hi[jobs], mp[jobs], inst.m)
 
 
-def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
+def _partial_regret(
+    inst: Instance, bounds: np.ndarray | None, nested: bool
+) -> Schedule:
     """The builder loop shared by short-mode ``pr`` (``nested`` false) and
-    ``pre``.
+    ``pre``. ``bounds`` holds the scaled extreme bounds of full-mode ``pre``;
+    ``None`` asks the kernel for the short-sighted ones every iteration.
 
     Every iteration scores each (machine, candidate) pair by ``m`` times the
     candidate's completion under its own extreme scenario minus the scaled
@@ -262,7 +265,6 @@ def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
     """
     n, m = inst.n, inst.m
     p, rlo, rhi = inst.p_array, inst.release_lo, inst.release_hi
-    full_bounds = scaled_extreme_bounds(inst) if bound_mode == "full" else None
     base = np.zeros(m, dtype=np.int64)
     remaining = np.ones(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
@@ -277,11 +279,11 @@ def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
     for s in range(n):
         cand = np.flatnonzero(remaining)
         placed = order[:s]
-        if full_bounds is None:
+        if bounds is None:
             short = _short_bounds(inst, placed, cand, nested)  # (V, 1 or s+1)
-            own_lb = short[:, -1]
+            own_lb, placed_lb = short[:, -1], short[:, :-1]
         else:
-            own_lb = full_bounds[cand]
+            own_lb, placed_lb = bounds[cand], bounds[placed]
         proc = p[:, cand]
         completions = proc + np.maximum(base[:, None], rhi[cand][None, :])
         score = m * completions - own_lb[None, :]  # (m, V)
@@ -289,9 +291,6 @@ def _partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Schedule:
         if nested:
             last_placed = last[:, :s]  # (m, s)
             if s:
-                placed_lb = (
-                    full_bounds[placed] if full_bounds is not None else short[:, :-1]
-                )
                 terms = m * np.maximum(
                     last_placed[:, None, :], rlo[cand][None, :, None]
                 )
@@ -411,7 +410,7 @@ def pr(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
     """
     if (config or HeuristicConfig()).bound_mode == "full":
         return _pr_full(inst)
-    return _partial_regret(inst, "short", False)
+    return _partial_regret(inst, None, False)
 
 
 def pre(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
@@ -423,7 +422,8 @@ def pre(inst: Instance, config: HeuristicConfig | None = None) -> Schedule:
     placements prefer the largest total gap between the machine's
     completions under those scenarios and the candidate's latest release.
     """
-    return _partial_regret(inst, (config or HeuristicConfig()).bound_mode, True)
+    full = (config or HeuristicConfig()).bound_mode == "full"
+    return _partial_regret(inst, scaled_extreme_bounds(inst) if full else None, True)
 
 
 def build_schedule(inst: Instance, config: HeuristicConfig) -> Schedule:
@@ -440,6 +440,19 @@ def detect_disjoint(inst: Instance) -> bool:
     so touching endpoints overlap)."""
     spans = sorted(inst.release)
     return all(spans[k][1] < spans[k + 1][0] for k in range(len(spans) - 1))
+
+
+def detect_spill(inst: Instance) -> bool:
+    """True when, in release order, some job's upper release plus its
+    slowest processing time passes the next job's lower release. Only
+    without such a spill do disjoint intervals make ``pm`` optimal on
+    several machines."""
+    spans = sorted(range(inst.n), key=inst.release.__getitem__)
+    slowest = inst.p_array.max(axis=0).tolist()
+    return any(
+        inst.release[a][1] + slowest[a] > inst.release[b][0]
+        for a, b in zip(spans, spans[1:])
+    )
 
 
 def detect_dominant_job(inst: Instance) -> int | None:

@@ -6,7 +6,8 @@ set, insert an outsider or keep the base, without building a scenario row;
 ``_reference`` spells out each query as an explicit release row and sorts it.
 Both must agree exactly: under hypothesis with ties, ``lo == hi``, one
 machine, one job and empty bases, on the short-sighted subsets, and on
-generated instances at n >= 500.
+generated instances at n >= 500: arbitrary bases and queries, and the
+short-sighted subsets of a build's late iterations.
 
 The oracle's suffix bounds come from one reverse scan instead of the
 kernel. Within a tie group of releases the scan also bounds the jobs from
@@ -152,6 +153,31 @@ def test_kernel_matches_reference_at_scale(dataset, n, m, seed):
     query_lo = np.concatenate((lo[raised], np.full(outsiders.shape, -1)), axis=1)
     query = np.concatenate((raised, outsiders), axis=1)
     assert_queries_match(lo[members], mp[members], query_lo, hi[query], mp[query], m)
+
+
+@pytest.mark.parametrize("dataset", ["DS1", "DS2"])
+@pytest.mark.parametrize("nested", [False, True])
+def test_short_bounds_match_reference_at_scale(dataset, nested):
+    # late in a short-sighted build: 480 placed jobs and 20 candidates, so
+    # the nested shape searches 20 bases of 481 jobs row by row
+    n, m = 500, 5
+    inst = generate(params_for_dataset(dataset, n, m), 9)
+    jobs = np.array(random.Random(9).sample(range(n), n), dtype=np.int64)
+    placed, cand = jobs[:480], np.sort(jobs[480:])
+    lo, hi, mp = inst.release_lo, inst.release_hi, inst.min_proc
+    got = _short_bounds(inst, placed, cand, nested)
+    if nested:
+        subsets = np.column_stack((np.tile(placed, (cand.size, 1)), cand))
+        want = reference_query_bounds(
+            lo[subsets], mp[subsets], lo[subsets], hi[subsets], mp[subsets], m
+        )
+    else:
+        want = reference_query_bounds(
+            lo[placed][None], mp[placed][None], np.full((1, cand.size), -1),
+            hi[cand][None], mp[cand][None], m,
+        ).reshape(-1, 1)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def random_scenario(data, n_max=8):

@@ -15,6 +15,7 @@ from robust_sched import (
     relaxed_regret,
     validate_schedule,
 )
+from robust_sched.heuristics import detect_spill
 
 from _reference import reference_pm, reference_pr, reference_pre
 from conftest import random_instance
@@ -303,6 +304,7 @@ class TestPolynomialCases:
                 rng, rng.randint(2, 6), rng.randint(1, 3)
             )
             assert detect_disjoint(inst)
+            assert not detect_spill(inst)
             assert exact_worst_case_regret(pm(inst), inst).value == 0
 
     def test_single_machine_disjoint_instances_make_pm_optimal(self, rng):
@@ -316,6 +318,7 @@ class TestPolynomialCases:
         from robust_sched import exhaustive_min_regret
 
         assert detect_disjoint(SPILLOVER_DISJOINT)
+        assert detect_spill(SPILLOVER_DISJOINT)
         schedule = pm(SPILLOVER_DISJOINT)
         assert exact_worst_case_regret(schedule, SPILLOVER_DISJOINT).value == 2
         # not a construction artifact: no schedule reaches 0 here

@@ -1,4 +1,5 @@
-"""Guards for the benchmark's traced run (``perfbench/tracing.py``).
+"""Guards for the benchmark's traced run (``perfbench/tracing.py``) and for
+the package size the README states.
 
 The tracer finds every layer function by name in its defining module and
 replaces the module global of that name in each listed user module. A
@@ -8,9 +9,11 @@ module reaches through a module global of the same object.
 """
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # Entries that name a module no longer reaching the function: bounds and
 # oracle read coverage through ``covered_mask``, and the oracle's suffix
@@ -40,3 +43,15 @@ def test_every_traced_layer_is_a_global_of_its_users():
             if vars(module).get(attr) is not function:
                 missing.add((attr, user))
     assert missing == STALE_USERS
+
+
+def test_readme_states_the_package_line_count():
+    # the count of ``wc -l src/robust_sched/*.py``: newline characters
+    stated = re.search(r"`src/robust_sched`\s+holds\s+([\d,]+)\s+lines",
+                       (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert stated, "README no longer states the src/robust_sched line count"
+    total = sum(
+        path.read_bytes().count(b"\n")
+        for path in (ROOT / "src" / "robust_sched").glob("*.py")
+    )
+    assert int(stated.group(1).replace(",", "")) == total
