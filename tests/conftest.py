@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from robust_sched import Instance, Schedule
+from robust_sched import Instance, Schedule, oracle
 
 
 def random_instance(rng: random.Random, n: int, m: int, *,
@@ -25,6 +25,20 @@ def random_valid_schedule(rng: random.Random, inst: Instance) -> Schedule:
     for seq in machines:
         rng.shuffle(seq)
     return Schedule(machines=tuple(tuple(seq) for seq in machines))
+
+
+def count_searches(monkeypatch) -> list:
+    """The release tuple of every ``optimal_makespan`` search from now on:
+    each search scans its suffix bounds once."""
+    searches = []
+    scan = oracle._suffix_scaled_bounds
+
+    def counted(order, release, fastest, m):
+        searches.append(release)
+        return scan(order, release, fastest, m)
+
+    monkeypatch.setattr(oracle, "_suffix_scaled_bounds", counted)
+    return searches
 
 
 @st.composite

@@ -13,6 +13,8 @@ from robust_sched.experiments import ExperimentSpec, render_markdown, run_benchm
 from robust_sched.model import validate_schedule
 from robust_sched.oracle import OracleLimits
 
+from conftest import count_searches
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -418,6 +420,19 @@ class TestCheckOutputIsPinned:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert json.loads(captured.err)["error"] == "ValueError"
+
+
+def test_check_searches_each_distinct_scenario_once(tmp_path, capsys, monkeypatch):
+    # the battery's exact regrets and its optima list share the optima kept
+    # on the instance: one search per distinct scenario (the n extreme ones
+    # and the lower one), where each call searched again before
+    searches = count_searches(monkeypatch)
+    path = TestCheckOutputIsPinned.seven_file(tmp_path)
+    code = run(["check", "--instance", path, "--grid-points", "3"])
+    assert (code, capsys.readouterr().out.splitlines()) == (
+        0, ALL_PASS + CONDITIONS_NOT_MET
+    )
+    assert len(searches) == len(set(searches)) == 7 + 1
 
 
 class TestOneParserPerProcess:

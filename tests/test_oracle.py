@@ -24,10 +24,17 @@ from robust_sched import (
     pre,
     random_schedule,
 )
-from robust_sched.model import extreme_scenario, extreme_scenarios, makespan
+from robust_sched.model import (
+    extreme_scenario,
+    extreme_scenarios,
+    lower_scenario,
+    makespan,
+)
 from robust_sched.oracle import (
     _BLOCK_CELLS,
     DEFAULT_LIMITS,
+    _BudgetExhausted,
+    _Deadline,
     _grid_points,
     _grid_regrets,
     _grid_rows,
@@ -47,7 +54,7 @@ from _brute import (
     brute_optimal_makespan,
     brute_worst_regret,
 )
-from conftest import random_instance, random_valid_schedule
+from conftest import count_searches, random_instance, random_valid_schedule
 
 
 class TestOptimalMakespan:
@@ -169,7 +176,7 @@ def single_machine_chains(inst, rows, limits=DEFAULT_LIMITS):
 
 
 class _CutAfter:
-    """A deadline that expires at its ``reads``-th read."""
+    """A deadline that expires at its ``reads``-th read, by either method."""
 
     def __init__(self, reads):
         self.reads = reads
@@ -177,6 +184,10 @@ class _CutAfter:
     def expired(self):
         self.reads -= 1
         return self.reads < 0
+
+    def check(self):
+        if self.expired():
+            raise _BudgetExhausted
 
 
 class TestReleaseRowOptima:
@@ -579,3 +590,141 @@ class TestTimeBudget:
             best = exhaustive_min_regret(inst, expired)
             assert not best.certified
             assert best.regret <= exact_worst_case_regret(best.schedule, inst).value
+
+
+def tie_heavy_instance(rng, n: int, m: int) -> Instance:
+    """Small times and narrow windows: many ties between schedules."""
+    p = tuple(tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(m))
+    lows = [rng.randint(0, 4) for _ in range(n)]
+    release = tuple((lo, lo + rng.randint(0, 3)) for lo in lows)
+    return Instance(p=p, release=release)
+
+
+def desk_cases(rng) -> list[Instance]:
+    """Generated instances at n 6-8, m 2-3, and tie-heavy ones."""
+    cases = [
+        generate(GenParams(n=n, m=m, r_domain_hi=30, segments=2), seed)
+        for n in (6, 7, 8) for m in (2, 3) for seed in range(2)
+    ]
+    cases += [tie_heavy_instance(rng, rng.randint(2, 7), rng.randint(1, 3)) for _ in range(24)]
+    return cases
+
+
+def desk_schedules(inst: Instance) -> list[Schedule]:
+    return [pm(inst), pr(inst), pre(inst), random_schedule(inst, 0), random_schedule(inst, 1)]
+
+
+def fresh(inst: Instance) -> Instance:
+    """An equal instance object, with nothing kept on it."""
+    return Instance(p=inst.p, release=inst.release)
+
+
+def exact_queries(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> list:
+    """Every exact query on one instance, each a function of the instance
+    object: the optima of the extreme and the lower scenarios, both exact
+    regrets of the desk schedules and the minimax-regret optimum."""
+    queries = [
+        lambda i, s=scenario: optimal_makespan(i, s, limits)
+        for scenario in extreme_scenarios(inst) + [lower_scenario(inst)]
+    ]
+    for schedule in desk_schedules(inst):
+        for effective_only in (True, False):
+            queries.append(
+                lambda i, s=schedule, e=effective_only: exact_worst_case_regret(
+                    s, i, limits, effective_only=e
+                )
+            )
+    queries.append(lambda i: exhaustive_min_regret(i, limits))
+    return queries
+
+
+class TestKeptOptima:
+    """``optimal_makespan`` keeps each certified result on the instance
+    object, read by a later call while its clock has not run out."""
+
+    def test_warm_results_equal_cold_ones(self, rng, monkeypatch):
+        searches = count_searches(monkeypatch)
+        for inst in desk_cases(rng):
+            queries = exact_queries(inst)
+            for query in queries:
+                query(inst)
+            kept = vars(inst)["_optima"]
+            assert set(kept) == {s.r for s in extreme_scenarios(inst) + [lower_scenario(inst)]}
+            for release, result in kept.items():
+                assert result == reference_optimal_makespan(inst, Scenario(r=release))
+            searches.clear()
+            warm = [query(inst) for query in queries]
+            assert not searches
+            assert warm == [query(fresh(inst)) for query in queries]
+
+    def test_a_warm_memo_is_not_read_past_the_deadline(self, rng):
+        expired = OracleLimits(time_budget=0.0)
+        for inst in desk_cases(rng):
+            for query in exact_queries(inst):
+                query(inst)
+            best = exhaustive_min_regret(inst, expired)
+            assert not best.certified
+            assert best == reference_exhaustive_min_regret(fresh(inst), expired)
+            for query in exact_queries(inst, expired):
+                warm, cold = query(inst), query(fresh(inst))
+                assert not warm.certified
+                assert warm == cold
+
+    def test_a_cut_result_is_not_kept(self):
+        inst = generate(GenParams(n=8, m=3, r_domain_hi=30, segments=2), 0)
+        cuts = 0
+        for scenario in extreme_scenarios(inst):
+            for deadline in (_Deadline(0.0), _CutAfter(4)):
+                result = optimal_makespan(inst, scenario, deadline=deadline)
+                cuts += not result.certified
+                assert result.certified == (scenario.r in vars(inst)["_optima"])
+            optimum = optimal_makespan(inst, scenario)
+            assert optimum.certified
+            assert optimum == reference_optimal_makespan(inst, scenario)
+        assert cuts > inst.n  # every zero budget, and some searches cut midway
+
+    def test_a_kept_result_belongs_to_its_instance_object(self, monkeypatch):
+        inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
+        scenario = extreme_scenario(inst, 0)
+        searches = count_searches(monkeypatch)
+        first = optimal_makespan(inst, scenario)
+        assert optimal_makespan(inst, scenario) is first
+        other = fresh(inst)
+        assert optimal_makespan(other, scenario) == first
+        assert searches == [scenario.r, scenario.r]
+
+    def test_a_kept_result_does_not_excuse_a_refusal(self):
+        inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
+        scenario = extreme_scenario(inst, 0)
+        optimal_makespan(inst, scenario)
+        with pytest.raises(LimitExceededError):
+            optimal_makespan(inst, scenario, OracleLimits(max_jobs=6))
+        with pytest.raises(LimitExceededError):
+            optimal_makespan(inst, scenario, OracleLimits(max_machines=2))
+        # a release outside the box refuses the scenario, kept or not
+        outside = Scenario(r=(inst.release[0][1] + 1,) + scenario.r[1:])
+        vars(inst)["_optima"][outside.r] = vars(inst)["_optima"][scenario.r]
+        with pytest.raises(ValueError):
+            optimal_makespan(inst, outside)
+
+
+class TestExtremeRegretIdentity:
+    """With opt_t the optimum of extreme scenario t, M = min_t opt_t and
+    r*_j = max(lo_j, hi_j + M - opt_j), every schedule's worst-case regret
+    over the extreme scenarios is its makespan under r* minus M: at each
+    position k, the largest completion minus optimum over the scenarios is
+    max(lo_k - M, hi_k - opt_k) plus the work from k to the end of its
+    machine."""
+
+    def test_regret_is_one_makespan_at_desk_scale(self, rng):
+        for inst in desk_cases(rng):
+            opts = [optimal_makespan(inst, s).makespan for s in extreme_scenarios(inst)]
+            least = min(opts)
+            star = tuple(
+                max(lo, hi + least - opt) for (lo, hi), opt in zip(inst.release, opts)
+            )
+            assert all(lo <= r <= hi for (lo, hi), r in zip(inst.release, star))
+            for schedule in desk_schedules(inst):
+                report = exact_worst_case_regret(schedule, inst, effective_only=False)
+                assert report.certified
+                assert report.value == makespan(schedule, Scenario(r=star), inst) - least

@@ -6,8 +6,11 @@ one sorted comparison, and ``relaxed_regret`` shares one ``Fraction`` per
 distinct term. ``_reference`` keeps the scalar loops; both must agree
 exactly, at desk scale and on generated instances at n >= 500. The scorers
 of one (schedule, instance) pair share one walk of the base chain, kept on
-the schedule for that instance object alone.
+the schedule for that instance object alone. Over all extreme scenarios
+the relaxed regret is also one makespan, under releases shifted by each
+scenario's bound, which a plain chain walk checks at n >= 500.
 """
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +27,7 @@ from robust_sched import (
     exact_worst_case_regret,
     generate,
     pm,
+    pr,
     random_schedule,
     regret_upper_bound,
     relaxed_regret,
@@ -41,6 +45,7 @@ from _reference import (
     reference_regret_upper_bound,
     reference_validate_schedule,
 )
+from _brute import brute_makespan
 from conftest import instance_and_schedule
 
 
@@ -238,3 +243,48 @@ def test_a_kept_pass_does_not_excuse_a_misfit(n, m):
         with pytest.raises(InvalidScheduleError):
             scorer()
     assert vars(schedule)["_extreme_pass"][0] is fits
+
+
+def near_limit_instance(n: int, m: int, seed: int) -> Instance:
+    """Times near 2**51 and releases up to 2**58, so m times the horizon
+    stays just below the 2**62 that ``Instance`` accepts."""
+    rng = random.Random(seed)
+    p = tuple(tuple(rng.randint(2**50, 2**51) for _ in range(n)) for _ in range(m))
+    release = []
+    for _ in range(n):
+        lo = rng.randint(0, 2**57)
+        release.append((lo, lo + rng.randint(0, 2**57)))
+    return Instance(p=p, release=tuple(release))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(params_for_dataset("DS1", 500, 5), 11),
+        lambda: generate(params_for_dataset("DS2", 500, 20), 12),
+        lambda: generate(params_for_dataset("DS1", 2000, 20), 13),
+        lambda: generate(params_for_dataset("DS2", 2000, 5), 14),
+        lambda: near_limit_instance(500, 3, 15),
+    ],
+    ids=["DS1-500", "DS2-500", "DS1-2000", "DS2-2000", "near-2**62"],
+)
+def test_relaxed_regret_is_one_makespan_at_scale(make):
+    # with b_t the combined bound of extreme scenario t, B = min_t b_t and
+    # r~_j = max(lo_j, hi_j + B - b_j), every schedule's relaxed regret over
+    # all extreme scenarios is its makespan under r~ minus B. Scaled by m it
+    # is one chain walk in Python ints over m p and m r~, with no
+    # per-scenario makespan; the second report reads the kept pass.
+    inst = make()
+    m = inst.m
+    scaled = scaled_extreme_bounds(inst).tolist()
+    least = min(scaled)
+    release = [
+        max(m * lo, m * hi + least - b) for (lo, hi), b in zip(inst.release, scaled)
+    ]
+    p = [[m * t for t in row] for row in inst.p]
+    schedules = [pm(inst), pr(inst), random_schedule(inst, 1), random_schedule(inst, 2)]
+    for schedule in schedules:
+        expected = brute_makespan(schedule.machines, p, release) - least
+        for _ in range(2):
+            report = relaxed_regret(schedule, inst, effective_only=False)
+            assert m * report.value == expected
