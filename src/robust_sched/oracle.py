@@ -7,10 +7,11 @@ makespan-optimal order within one machine is by nondecreasing release date
 choosing each machine's job set. One scenario's optimum comes from a depth
 first search over job-to-machine assignments with an admissible lower-bound
 prune; the optima of a batch of scenario rows, for the grid sweep, come from
-a DP over job subsets instead. The full minimax-regret optimum enumerates
-per-machine sequences outright, since the regret objective has no
-per-machine ordering rule. Both searches always prune, and no prune changes
-a result.
+a DP over job subsets instead. The minimax-regret optimum is one more
+makespan problem: under one scenario formed from the extreme optima, every
+schedule's worst-case regret is its makespan less a constant, and a search
+over per-machine sequences returns the first schedule that reaches that
+scenario's optimum. Every search prunes, and no prune changes a result.
 
 Results carry a ``certified`` flag: a search cut short by ``time_budget``
 returns its incumbent flagged ``False``. The budget is the wall clock of the
@@ -26,7 +27,6 @@ an uncertified result is never kept.
 """
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,6 +43,7 @@ from .model import (
     ensure_valid_schedule,
     extreme_makespans,
     extreme_scenario,
+    makespan,
     makespans_for_release_rows,
 )
 
@@ -438,115 +439,91 @@ def grid_regret(
 def exhaustive_min_regret(
     inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> MinRegretResult:
-    """Schedule minimizing the exact worst-case regret, by full enumeration.
+    """Schedule minimizing the exact worst-case regret over the extreme
+    scenarios: the first makespan-optimal schedule under one scenario r*.
 
-    Per-machine sequences are enumerated in lexicographic order of the
-    schedule encoding, so ties resolve to the lexicographically smallest
-    optimal schedule. The partial worst-case regret only grows as jobs are
-    appended, which gives the result-preserving prune; each child is tested
-    before it is called.
+    Let opt_t be the optimum of extreme scenario t (job t released at hi_t,
+    every other job at lo), M = min_t opt_t and r*_j = max(lo_j,
+    hi_j + M - opt_j), which lies in the release box. Then every schedule's
+    worst-case regret is its makespan under r* minus M. The regret is the
+    largest, over machines i, of max_t (C_i^t - opt_t), with C_i^t machine
+    i's completion under scenario t: the largest, over its positions k, of
+    the release of job k plus the work from k to the end. Scenario t moves
+    only job t, so C_i^t is the all-lo completion, or for t on machine i
+    the larger of that and hi_t plus the work from t on. As no C_i^t is
+    below the all-lo one, max_t (C_i^t - opt_t) is, per position k,
+    max(lo_k - M, hi_k - opt_k) plus the work from k on: machine i's
+    completion under r* minus M. An empty machine gives -M both ways.
+    Nothing here uses that the opt_t are optimal.
 
-    Machines are filled in order and never revisited, and the regret of a
-    schedule is the largest regret of one of its machines, so the search
-    keeps one completion per extreme scenario and a node costs O(n).
+    So the minimum regret is T - M, with T the optimum under r*, and the
+    regret-optimal schedules are the makespan-optimal ones under r*. The
+    search enumerates per-machine sequences, at each node first handing off
+    to the next machine, then appending each remaining job in ascending
+    order, and returns the first leaf whose makespan under r* is at most T:
+    the lexicographically smallest optimum. A node keeps the current
+    machine's completion under r*; a child that finishes past T is cut, and
+    on the last machine so is one whose completion plus the remaining jobs'
+    time there exceeds T. Whether machines i onward can finish a job set by
+    T depends only on i and the set, so a failed hand-off is kept in a set
+    for the call and not tried again.
 
-    The search starts from a bound, not an incumbent: the optimum is at most
-    the smallest regret of the extreme scenarios' optimal schedules, so only
-    leaves at or below it are kept, and the first optimum in the order is
-    never cut. What machines ``i`` onward add to the regret depends only on
-    ``i`` and the jobs left to them, so a hand-off to machine ``i`` whose
-    search returns with the finished machines' regret still below the best
-    records that best as a floor of every schedule of those jobs on those
-    machines; a later hand-off of the same jobs to machine ``i`` is skipped
-    while that floor is at least the best. The memo lives for one call.
-
-    On the last machine every job still left has to follow the one
-    appended, so under every extreme scenario that machine finishes at least
-    their total time there later. A child whose partial regret plus that
-    remaining work reaches the best is skipped: the bound cuts only subtrees
-    with no leaf below the best, so it changes neither the result nor the
-    floors the memo records. The remaining work is a running total passed
-    down the search.
-
-    The optima and the enumeration share one ``limits.time_budget``. Cut
-    short before any complete schedule at or below the bound, the call
-    returns the schedule found for the first extreme scenario, scored
-    against the optima at hand.
+    The optima, T and the search share one ``limits.time_budget``. If an
+    optimum is cut, the clock has run out: the call returns the schedule
+    found for the first extreme scenario, scored as its makespan under r*
+    minus M, which by the identity is its regret against the values at
+    hand. If the search is cut, it returns the schedule found for T with
+    regret T - M. Either result is uncertified.
     """
     _check_limits(inst, limits)
     n, m = inst.n, inst.m
     p = inst.p
     last = p[m - 1]
-    lo, hi = inst.release_lo.tolist(), inst.release_hi.tolist()
-
     deadline = _Deadline(limits.time_budget)
     optima = [
         optimal_makespan(inst, extreme_scenario(inst, j), limits, deadline=deadline)
         for j in range(n)
     ]
-    opts = [result.makespan for result in optima]
-    certified = all(result.certified for result in optima)
-    # a cut optimum means the clock has run out: the search stops at its
-    # first node, and only the fallback's regret is read
-    start_regrets = [
-        max(map(operator.sub, extreme_makespans(result.schedule, inst).tolist(), opts))
-        for result in (optima if certified else optima[:1])
-    ]
-
+    least = min(result.makespan for result in optima)
+    star = Scenario(r=tuple(
+        max(lo, hi + least - result.makespan)
+        for (lo, hi), result in zip(inst.release, optima)
+    ))
+    if not all(result.certified for result in optima):
+        fallback = optima[0].schedule
+        return MinRegretResult(fallback, makespan(fallback, star, inst) - least, False)
+    target = optimal_makespan(inst, star, limits, deadline=deadline)
+    bound, release = target.makespan, star.r
     machines: list[list[int]] = [[] for _ in range(m)]
-    best_regret = 1 + min(start_regrets)  # regrets are integers
-    best_machines: tuple[tuple[int, ...], ...] | None = None
-    # below[(i, jobs)]: every schedule of jobs on machines i onward has a
-    # regret of at least this
-    below: dict[tuple[int, tuple[int, ...]], int] = {}
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    def dfs(
-        machine: int, remaining: tuple[int, ...], floor: int, done: list[int],
-        value: int, work: int,
-    ) -> None:
-        # floor: largest regret of a finished machine; done[t]: the current
-        # machine's completion under extreme scenario t; value: the partial
-        # regret, below best_regret; work: the last machine's total time for
-        # the remaining jobs
-        nonlocal best_regret, best_machines
+    def dfs(machine: int, remaining: tuple[int, ...], finish: int, work: int) -> bool:
+        # finish: the current machine's completion under r*; work: the last
+        # machine's total time for the remaining jobs
         deadline.check()
         if not remaining:
-            best_regret = value
-            best_machines = tuple(tuple(seq) for seq in machines)
-            return
+            return True
         on_last = machine == m - 1
-        if not on_last:
-            key = (machine + 1, remaining)
-            if below.get(key, value) < best_regret:  # unrecorded: value is below
-                dfs(machine + 1, remaining, value, [0] * n, value, work)
-                if value < best_regret:
-                    below[key] = best_regret
+        if not on_last and (machine + 1, remaining) not in failed:
+            if dfs(machine + 1, remaining, 0, work):
+                return True
+            failed.add((machine + 1, remaining))
+        row = p[machine]
         for pick, job in enumerate(remaining):
-            cost, low = p[machine][job], lo[job]
-            # scenario t releases the job at hi if t == job, else at lo
-            appended = [cost + (finish if finish > low else low) for finish in done]
-            appended[job] = cost + max(done[job], hi[job])
-            excess = max(map(operator.sub, appended, opts))
+            done = row[job] + max(finish, release[job])
             work_after = work - last[job]
-            grown = max(floor, excess)
-            if grown < best_regret and (
-                not on_last or excess + work_after < best_regret
-            ):
+            if done <= bound and (not on_last or done + work_after <= bound):
                 machines[machine].append(job)
                 rest = remaining[:pick] + remaining[pick + 1 :]
-                dfs(machine, rest, floor, appended, grown, work_after)
+                if dfs(machine, rest, done, work_after):
+                    return True
                 machines[machine].pop()
+        return False
 
-    empty = -min(opts)  # an empty machine's regret
     try:
-        dfs(0, tuple(range(n)), empty, [0] * n, empty, sum(last))
+        dfs(0, tuple(range(n)), 0, sum(last))
     except _BudgetExhausted:
-        certified = False
-    if best_machines is None:  # budget hit before a leaf within the bound
-        best_machines = optima[0].schedule.machines
-        best_regret = start_regrets[0]
+        return MinRegretResult(target.schedule, bound - least, False)
     return MinRegretResult(
-        schedule=Schedule(machines=best_machines),
-        regret=int(best_regret),
-        certified=certified,
+        Schedule(machines=tuple(map(tuple, machines))), bound - least, target.certified
     )

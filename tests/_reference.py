@@ -17,11 +17,12 @@ its prune (the greedy incumbent, then every assignment depth first): the
 reference of the always-pruned ``optimal_makespan``.
 ``reference_exhaustive_min_regret`` is the minimax-regret search that kept
 an (m, n) table of completions under every extreme scenario and rescanned
-it at each node: the reference of ``exhaustive_min_regret``, which keeps
-one completion per extreme scenario and the largest regret of the
-finished machines. ``reference_memo_min_regret`` is that search as it
-stood before the remaining-work bound on the last machine: the start bound,
-the child prune and the hand-off memo, and nothing more.
+it at each node. ``reference_memo_min_regret`` is the search that kept one
+completion per extreme scenario and the largest regret of the finished
+machines, with the start bound, the child prune and the hand-off memo.
+Both score regret scenario by scenario: the references of
+``exhaustive_min_regret``, which searches for the first makespan-optimal
+schedule under the one scenario r* instead.
 ``reference_completion_profile`` is the scalar chain loop that
 ``completion_profile`` replaced with the closed form of the chain rule.
 ``reference_release_row_optima`` tries all mⁿ job-to-machine assignments

@@ -24,6 +24,7 @@ from robust_sched import (
     pre,
     random_schedule,
 )
+from robust_sched import oracle
 from robust_sched.model import (
     extreme_scenario,
     extreme_scenarios,
@@ -638,6 +639,12 @@ def exact_queries(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> list
     return queries
 
 
+def star_release(inst: Instance, opts: list[int]) -> tuple[int, ...]:
+    """r* of the extreme optima ``opts``: max(lo_j, hi_j + min opts - opts_j)."""
+    least = min(opts)
+    return tuple(max(lo, hi + least - opt) for (lo, hi), opt in zip(inst.release, opts))
+
+
 class TestKeptOptima:
     """``optimal_makespan`` keeps each certified result on the instance
     object, read by a later call while its clock has not run out."""
@@ -649,7 +656,10 @@ class TestKeptOptima:
             for query in queries:
                 query(inst)
             kept = vars(inst)["_optima"]
-            assert set(kept) == {s.r for s in extreme_scenarios(inst) + [lower_scenario(inst)]}
+            opts = [kept[s.r].makespan for s in extreme_scenarios(inst)]
+            assert set(kept) == {
+                s.r for s in extreme_scenarios(inst) + [lower_scenario(inst)]
+            } | {star_release(inst, opts)}
             for release, result in kept.items():
                 assert result == reference_optimal_makespan(inst, Scenario(r=release))
             searches.clear()
@@ -719,12 +729,50 @@ class TestExtremeRegretIdentity:
     def test_regret_is_one_makespan_at_desk_scale(self, rng):
         for inst in desk_cases(rng):
             opts = [optimal_makespan(inst, s).makespan for s in extreme_scenarios(inst)]
-            least = min(opts)
-            star = tuple(
-                max(lo, hi + least - opt) for (lo, hi), opt in zip(inst.release, opts)
-            )
+            least, star = min(opts), star_release(inst, opts)
             assert all(lo <= r <= hi for (lo, hi), r in zip(inst.release, star))
             for schedule in desk_schedules(inst):
                 report = exact_worst_case_regret(schedule, inst, effective_only=False)
                 assert report.certified
                 assert report.value == makespan(schedule, Scenario(r=star), inst) - least
+
+
+class TestCutFirstLeafSearch:
+    """A deadline that expires at one chosen read, in the extreme optima, in
+    the search for the optimum under r* or in the first-leaf search."""
+
+    @pytest.mark.parametrize("n, m, seed", [(6, 2, 0), (7, 3, 1), (8, 2, 2), (8, 3, 0)])
+    def test_every_cut_stays_at_or_below_its_schedules_regret(
+        self, n, m, seed, monkeypatch
+    ):
+        inst = generate(GenParams(n=n, m=m, r_domain_hi=30, segments=2), seed)
+        exact = exhaustive_min_regret(inst)
+        assert exact.certified
+        opts = [optimal_makespan(inst, s).makespan for s in extreme_scenarios(inst)]
+        extremes = {s.r for s in extreme_scenarios(inst)}
+
+        def cut_call(reads: int):
+            deadline = _CutAfter(reads)
+            cut = fresh(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_Deadline", lambda budget: deadline)
+                return exhaustive_min_regret(cut), deadline.reads, cut
+
+        _, left, _ = cut_call(10**9)
+        used = 10**9 - left
+        in_search = 0
+        for reads in [*range(0, used, max(1, used // 150)), used - 1, used]:
+            result, _, cut = cut_call(reads)
+            assert result.certified == (reads >= used)
+            if result.certified:
+                assert result == exact
+                continue
+            own = exact_worst_case_regret(result.schedule, inst).value
+            assert result.regret <= own
+            kept = set(vars(cut)["_optima"])
+            if extremes <= kept:  # scored against the true optima
+                assert result.regret == own
+            if extremes | {star_release(inst, opts)} <= kept:
+                in_search += 1
+                assert result.regret == exact.regret
+        assert in_search > 0
