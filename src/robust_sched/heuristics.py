@@ -79,25 +79,6 @@ class HeuristicConfig:
             raise ValueError("bound_mode applies to pr/pre only")
 
 
-def _argmin_with_gap_tie(
-    score: np.ndarray,
-    cand: np.ndarray,
-    gap_of: "callable",
-) -> tuple[int, int]:
-    """Pick (job, machine) minimizing ``score[(machine, cand_idx)]``.
-
-    Among tied cells the largest gap indicator wins, then the lowest job
-    index, then the lowest machine index. ``gap_of`` maps arrays of tied
-    machines and jobs to their gap indicators.
-    """
-    machines, cols = np.nonzero(score == score.min())
-    jobs = cand[cols]
-    pick = 0
-    if jobs.size > 1:
-        pick = np.lexsort((machines, jobs, -gap_of(machines, jobs)))[0]
-    return int(jobs[pick]), int(machines[pick])
-
-
 class _Fenwick:
     """Prefix sums over positions 0..size-1 with point updates (Fenwick
     1994, "A new data structure for cumulative frequency tables")."""
@@ -288,25 +269,20 @@ def _partial_regret(
         completions = proc + np.maximum(base[:, None], rhi[cand][None, :])
         score = m * completions - own_lb[None, :]  # (m, V)
 
-        if nested:
-            last_placed = last[:, :s]  # (m, s)
-            if s:
-                terms = m * np.maximum(
-                    last_placed[:, None, :], rlo[cand][None, :, None]
-                )
-                terms -= placed_lb  # (m, V, s)
-                np.maximum(score, terms.max(axis=2) + m * proc, out=score)
+        if nested and s:
+            terms = m * np.maximum(last[:, None, :s], rlo[cand][None, :, None])
+            terms -= placed_lb  # (m, V, s)
+            np.maximum(score, terms.max(axis=2) + m * proc, out=score)
 
-            def gap(machines: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-                gaps = last_placed[machines] - rhi[jobs][:, None]
-                return np.maximum(gaps, 0).sum(axis=1)
-
-        else:
-
-            def gap(machines: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-                return np.maximum(base[machines] - rhi[jobs], 0)
-
-        job, machine = _argmin_with_gap_tie(score, cand, gap)
+        rows, cols = np.nonzero(score == score.min())
+        jobs = cand[cols]
+        pick = 0
+        if jobs.size > 1:  # (score, -gap, job, machine)
+            done = last[rows, :s] if nested else base[rows, None]
+            gaps = np.maximum(done - rhi[jobs][:, None], 0).sum(axis=1)
+            pick = np.lexsort((rows, jobs, -gaps))[0]
+            del done  # left alive, it adds page faults to the next iteration's terms
+        job, machine = int(jobs[pick]), int(rows[pick])
         if nested:
             last[:, s] = base
             last[machine, s] = max(base[machine], rhi[job])
@@ -332,7 +308,7 @@ def _pr_full(inst: Instance) -> Schedule:
     sorted once per machine, which only loses jobs. Placed jobs leave both
     lazily. A machine's best (score, -gap, job, machine) changes only when
     its own b grows or its best job is placed, and the iteration takes the
-    smallest of the m bests: the order ``_argmin_with_gap_tie`` uses.
+    smallest of the m bests in that order, as ``_partial_regret`` does.
     """
     n, m = inst.n, inst.m
     p = inst.p

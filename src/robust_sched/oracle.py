@@ -57,7 +57,8 @@ class LimitExceededError(ValueError):
 
 
 class _GridTooLargeError(LimitExceededError):
-    """A scenario grid over ``GRID_SCENARIO_LIMIT``."""
+    """A scenario grid over ``GRID_SCENARIO_LIMIT`` rows, or one whose subset
+    DP needs more than ``_ROW_CELLS_LIMIT`` values for a single row."""
 
 
 class _BudgetExhausted(Exception):
@@ -258,6 +259,19 @@ def _submask_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return owner ^ inner, inner, starts
 
 
+def _row_cells(n: int, m: int) -> int:
+    """The largest temporary of one row in the subset DP over n jobs and m
+    machines, or ``_GridTooLargeError`` when it passes ``_ROW_CELLS_LIMIT``."""
+    sets = 1 << n
+    cells = max(3**n if m > 2 else sets, m * sets)
+    if m > 1 and cells > _ROW_CELLS_LIMIT:
+        raise _GridTooLargeError(
+            f"the subset DP over {n} jobs and {m} machines needs {cells} "
+            f"values a row, over the limit of {_ROW_CELLS_LIMIT}"
+        )
+    return cells
+
+
 def optimal_makespans_for_release_rows(
     inst: Instance,
     release_rows: np.ndarray,
@@ -293,12 +307,7 @@ def optimal_makespans_for_release_rows(
         raise ValueError("scenario rows do not match the job count")
     m, p = inst.m, inst.p_array
     sets = 1 << n
-    cells = max(3**n if m > 2 else sets, m * sets)  # one row's largest temporary
-    if m > 1 and cells > _ROW_CELLS_LIMIT:
-        raise LimitExceededError(
-            f"the subset DP over {n} jobs and {m} machines needs {cells} "
-            f"values a row, over the limit of {_ROW_CELLS_LIMIT}"
-        )
+    cells = _row_cells(n, m)
     order = np.argsort(release_rows, axis=1, kind="stable")
     rel = np.take_along_axis(release_rows, order, axis=1)
     alone = np.zeros((m, count), dtype=np.int64)
@@ -385,11 +394,12 @@ def _grid_points(lo: int, hi: int, grid_points: int) -> list[int]:
 
 def _grid_rows(inst: Instance, grid_points: int, limits: OracleLimits) -> np.ndarray:
     """The grid's scenario rows in ``itertools.product`` order, or the error
-    for a bad ``grid_points``, an instance over ``limits`` or a grid over
-    ``GRID_SCENARIO_LIMIT`` scenarios (``_GridTooLargeError``)."""
+    for a bad ``grid_points``, an instance over ``limits`` or a grid too
+    large for the optima's DP (``_GridTooLargeError``)."""
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points per interval")
     _check_limits(inst, limits)
+    _row_cells(inst.n, inst.m)
     axes, total = [], 1
     for lo, hi in inst.release:
         axes.append(np.array(_grid_points(lo, hi, grid_points), dtype=np.int64))

@@ -64,7 +64,7 @@ from fractions import Fraction
 import numpy as np
 
 from robust_sched.bounds import scaled_combined_rows, scaled_extreme_bounds
-from robust_sched.heuristics import _argmin_with_gap_tie, _short_bounds
+from robust_sched.heuristics import _short_bounds
 from robust_sched.model import (
     CompletionProfile,
     Instance,
@@ -374,16 +374,11 @@ def state_partial_regret(inst: Instance, bound_mode: str, nested: bool) -> Sched
                 terms -= placed_lb  # (m, V, s)
                 np.maximum(score, terms.max(axis=2) + m * proc, out=score)
 
-            def gap(machines: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-                gaps = last_placed[machines] - rhi[jobs][:, None]
-                return np.maximum(gaps, 0).sum(axis=1)
-
-        else:
-
-            def gap(machines: np.ndarray, jobs: np.ndarray) -> np.ndarray:
-                return np.maximum(base[machines] - rhi[jobs], 0)
-
-        job, machine = _argmin_with_gap_tie(score, cand, gap)
+        # every tied cell as (-gap, job, machine); the smallest tuple wins
+        rows, cols = np.nonzero(score == score.min())
+        done = last_placed[rows] if nested else base[rows, None]
+        gaps = np.maximum(done - rhi[cand[cols]][:, None], 0).sum(axis=1)
+        _, job, machine = min(zip((-gaps).tolist(), cand[cols].tolist(), rows.tolist()))
         state.place(job, machine)
     return state.to_schedule()
 

@@ -266,6 +266,19 @@ class TestCheck:
         assert "skip extreme-scenario reduction (grid too large)" in out
         assert "fail" not in out
 
+    def test_grid_whose_dp_cannot_take_one_row_is_skipped(self, tmp_path, capsys):
+        # 2**14 corner rows are within the grid limit, but one row of the
+        # subset DP over 14 jobs and 3 machines needs 3**14 values
+        path = tmp_path / "fourteen.json"
+        inst = generate(GenParams(n=14, m=3, r_domain_hi=30, segments=2), 0)
+        io.write_json(path, io.instance_to_dict(inst))
+        code = run(["check", "--instance", path, "--max-jobs", "14",
+                    "--grid-points", "2"])
+        assert (code, capsys.readouterr().out.splitlines()) == (0, [
+            "skip extreme-scenario reduction (grid too large)", *ALL_PASS[1:],
+            *CONDITIONS_NOT_MET,
+        ])
+
     def test_time_budget_is_the_wall_clock_of_the_command(self, tmp_path, capsys):
         # about 26 oracle calls share the one budget; with a fresh budget
         # each, the command took about 0.5-0.9 s here

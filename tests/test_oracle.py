@@ -462,8 +462,11 @@ class TestExhaustiveMinRegret:
 
 
     def test_matches_the_completion_table_search(self, rng):
-        # the search that kept an (m, n) table of completions, unbudgeted
-        # and with an expired budget: same regret, schedule and flag
+        # the searches that kept an (m, n) table of completions and that kept
+        # one completion per scenario with a memo, unbudgeted and with an
+        # expired budget: same regret, schedule and flag. The unpruned table
+        # search is the slow one, so it checks every n <= 6 case, ten of the
+        # n = 7 ones and one generated n = 8 instance per m
         def tie_heavy(n: int, m: int) -> Instance:
             # small times, narrow windows: many ties
             p = tuple(tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(m))
@@ -471,18 +474,24 @@ class TestExhaustiveMinRegret:
             release = tuple((lo, lo + rng.randint(0, 3)) for lo in lows)
             return Instance(p=p, release=release)
 
-        cases = [tie_heavy(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(500)]
-        cases += [tie_heavy(7, rng.randint(2, 3)) for _ in range(50)]
-        for n in (6, 7, 8):  # 8 is the default limit
-            for m in (2, 3):
-                params = GenParams(n=n, m=m, r_domain_hi=30, segments=2)
-                cases.extend(generate(params, seed) for seed in range(2))
+        def agree(reference, cases):
+            for inst in cases:
+                for limits in (DEFAULT_LIMITS, expired):
+                    result = exhaustive_min_regret(inst, limits)
+                    assert result == reference(inst, limits)
+
+        small = [tie_heavy(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(500)]
+        seven = [tie_heavy(7, rng.randint(2, 3)) for _ in range(50)]
+        generated = {
+            (n, m, seed): generate(GenParams(n, m, r_domain_hi=30, segments=2), seed)
+            for n in (6, 7, 8)  # 8 is the default limit
+            for m in (2, 3)
+            for seed in range(2)
+        }
         expired = OracleLimits(time_budget=0.0)
-        for inst in cases:
-            for limits in (DEFAULT_LIMITS, expired):
-                assert exhaustive_min_regret(inst, limits) == (
-                    reference_exhaustive_min_regret(inst, limits)
-                )
+        eights = [generated[8, m, 0] for m in (2, 3)]
+        agree(reference_exhaustive_min_regret, small + seven[:10] + eights)
+        agree(reference_memo_min_regret, seven + list(generated.values()))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("m", (2, 3))
