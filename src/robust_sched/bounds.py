@@ -33,9 +33,9 @@ The n extreme scenarios (``scaled_extreme_bounds``) are one base with every
 job raised in turn, computed once per instance; the short-sighted
 heuristics are the batched cases.
 The oracle's prune needs the bound of each suffix of one release order,
-which suffixes share, so it takes them from its own reverse scan instead.
-``lb_combined`` reads all four bounds off its per-anchor table of one
-scenario.
+which suffixes share, so ``_suffix_scaled_bounds`` takes them from one
+suffix scan, ``_suffix_terms``, at every position of that order;
+``lb_combined`` reads the same scan at each job's first tied position.
 
 With the O(n + m) extreme makespans of :mod:`.model`, relaxed regret needs
 no n x n array at any size. Its ``effective_only`` mode drops the covered
@@ -106,11 +106,10 @@ def lb_combined(scenario: Scenario, inst: Instance) -> BoundsReport:
     order = np.argsort(release, kind="stable")
     # each job's suffix: the jobs from the first of its ties in release order
     start = np.searchsorted(release[order], release)
-    sums = np.cumsum(mp[order][::-1])[::-1][start].tolist()
-    mins = np.minimum.accumulate(mp[order][::-1])[::-1][start].tolist()
-    counts, rel = (inst.n - start).tolist(), release.tolist()
+    scaled_avg, scaled_bat = _suffix_terms(release[order], mp[order], m)
+    avg, bat = scaled_avg[start].tolist(), (scaled_bat[start] // m).tolist()
     per_job = {
-        j: (Fraction(m * rel[j] + sums[j], m), rel[j] + (counts[j] + m - 1) // m * mins[j])
+        j: (Fraction(avg[j], m), bat[j])
         for j in np.argsort(-release, kind="stable").tolist()
     }
     averaged, batched = map(max, zip(*per_job.values()))
@@ -123,6 +122,33 @@ def lb_combined(scenario: Scenario, inst: Instance) -> BoundsReport:
         combined=Fraction(max(single, averaged, batched)),
         per_job=per_job,
     )
+
+
+def _suffix_terms(release, fastest, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per position k of jobs in ascending release order, m times the
+    averaged and batched terms of the jobs from k on: ``m r_k`` plus the sum
+    of their fastest times, and ``m (r_k + ceil((n - k) / m) min)``."""
+    sums = np.add.accumulate(fastest[::-1])[::-1]
+    mins = np.minimum.accumulate(fastest[::-1])[::-1]
+    batches = np.arange(release.size + m - 1, m - 1, -1) // m
+    return m * release + sums, m * (release + batches * mins)
+
+
+def _suffix_scaled_bounds(
+    order: list[int], release: tuple[int, ...], fastest, m: int
+) -> list[int]:
+    """m times a lower bound on the optimum of each suffix of the
+    release-sorted jobs ``order``, and 0 for the empty one.
+
+    Every job from position k on is released at ``r_k`` or later, so
+    ``m (r_k + f_k)`` and the terms of ``_suffix_terms`` bound their
+    optimum. Adding jobs never lowers an optimum, so the running maximum of
+    these terms from the end bounds every suffix.
+    """
+    jobs = np.asarray(order, dtype=np.int64)
+    r, f = np.asarray(release, dtype=np.int64)[jobs], np.asarray(fastest)[jobs]
+    terms = np.maximum(m * (r + f), np.maximum(*_suffix_terms(r, f, m)))
+    return np.maximum.accumulate(terms[::-1])[::-1].tolist() + [0]
 
 
 # element budget of one row block in scaled_combined_rows

@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import _suffix_scaled_bounds
 from .model import (
     Instance,
     RegretReport,
@@ -127,33 +128,6 @@ def _release_sorted_jobs(inst: Instance, scenario: Scenario) -> list[int]:
     return sorted(range(inst.n), key=lambda j: (scenario.r[j], j))
 
 
-def _suffix_scaled_bounds(
-    order: list[int], release: tuple[int, ...], fastest: list[int], m: int
-) -> list[int]:
-    """m times a lower bound on the optimum of each suffix of the
-    release-sorted jobs, and 0 for the empty one, from one reverse scan.
-
-    Every job from position k on is released at ``r_k`` or later, so with
-    the sum, count and minimum of their fastest times ``m (r_k + f_k)``,
-    ``m r_k + sum`` and ``m (r_k + ceil(count / m) min)`` bound their
-    optimum. Adding jobs never lowers an optimum, so the running maximum of
-    these terms bounds every suffix.
-    """
-    total = count = best = 0
-    shortest = max(fastest)
-    bounds = [0]
-    for job in reversed(order):
-        r, f = release[job], fastest[job]
-        total += f
-        count += 1
-        shortest = min(shortest, f)
-        batched = m * (r + -(-count // m) * shortest)
-        best = max(best, m * (r + f), m * r + total, batched)
-        bounds.append(best)
-    bounds.reverse()
-    return bounds
-
-
 def optimal_makespan(
     inst: Instance,
     scenario: Scenario,
@@ -226,8 +200,7 @@ def optimal_makespan(
     certified = True
     try:
         deadline.check()
-        fastest = inst.min_proc.tolist()
-        suffix_bounds = _suffix_scaled_bounds(order, release, fastest, m)
+        suffix_bounds = _suffix_scaled_bounds(order, release, inst.min_proc, m)
         dfs(0, 0)
     except _BudgetExhausted:
         certified = False

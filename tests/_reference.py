@@ -43,9 +43,12 @@ batched anchor kernel as such a row, and ``reference_suffix_bounds`` is the
 oracle's old one-call-per-suffix loop. ``kernel_suffix_bounds`` is the
 oracle's later one kernel call over n bases, and
 ``kernel_extreme_suffix_bounds`` the same bounds under every extreme
-scenario from a few kernel calls: the floors of the oracle's reverse scan,
-which may be above them. ``relabel_jobs``, which renames jobs for the
-invariance tests, lives here too: the package never calls it.
+scenario from a few kernel calls: the floors of the suffix scan, which may
+be above them. ``scalar_suffix_scan`` is the oracle's pure-Python reverse
+scan that followed, and ``reference_lb_combined`` is ``lb_combined`` with
+its own suffix sums, minima and counts: the references of the one suffix
+scan in ``bounds`` that both now read. ``relabel_jobs``, which renames
+jobs for the invariance tests, lives here too: the package never calls it.
 
 ``reference_dumps`` is the pinned file writer, Python's indenting JSON
 encoder, against which ``io.dumps`` and its C-encoder calls must match byte
@@ -63,7 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from robust_sched.bounds import scaled_combined_rows, scaled_extreme_bounds
+from robust_sched.bounds import BoundsReport, scaled_combined_rows, scaled_extreme_bounds
 from robust_sched.heuristics import _short_bounds
 from robust_sched.model import (
     CompletionProfile,
@@ -765,6 +768,52 @@ def reference_suffix_bounds(inst, scenario, order):
         proc = inst.min_proc[jobs].reshape(1, -1)
         out[idx] = int(reference_combined_rows(row, proc, inst.m)[0])
     return out
+
+
+def scalar_suffix_scan(order, release, fastest, m):
+    """The oracle's former suffix bounds: one pure-Python reverse scan over
+    the release-sorted jobs, keeping the sum, count and minimum of the
+    fastest times from each position on, with 0 for the empty suffix."""
+    total = count = best = 0
+    shortest = max(fastest)
+    bounds = [0]
+    for job in reversed(order):
+        r, f = release[job], fastest[job]
+        total += f
+        count += 1
+        shortest = min(shortest, f)
+        batched = m * (r + -(-count // m) * shortest)
+        best = max(best, m * (r + f), m * r + total, batched)
+        bounds.append(best)
+    bounds.reverse()
+    return bounds
+
+
+def reference_lb_combined(scenario, inst):
+    """``lb_combined`` as it read its per-anchor table of suffix sums,
+    minima and counts directly, before it shared the oracle's suffix terms."""
+    ensure_scenario(scenario, inst)
+    m, release, mp = inst.m, scenario.r_array, inst.min_proc
+    order = np.argsort(release, kind="stable")
+    # each job's suffix: the jobs from the first of its ties in release order
+    start = np.searchsorted(release[order], release)
+    sums = np.cumsum(mp[order][::-1])[::-1][start].tolist()
+    mins = np.minimum.accumulate(mp[order][::-1])[::-1][start].tolist()
+    counts, rel = (inst.n - start).tolist(), release.tolist()
+    per_job = {
+        j: (Fraction(m * rel[j] + sums[j], m), rel[j] + (counts[j] + m - 1) // m * mins[j])
+        for j in np.argsort(-release, kind="stable").tolist()
+    }
+    averaged, batched = map(max, zip(*per_job.values()))
+    single = int((release + mp).max())
+    return BoundsReport(
+        lb_avg=Fraction(m * int(release.min()) + int(mp.sum()), m),
+        lb1=single,
+        lb2=averaged,
+        lb3=batched,
+        combined=Fraction(max(single, averaged, batched)),
+        per_job=per_job,
+    )
 
 
 def kernel_suffix_bounds(inst, scenario, order):

@@ -9,10 +9,13 @@ machine, one job and empty bases, on the short-sighted subsets, and on
 generated instances at n >= 500: arbitrary bases and queries, and the
 short-sighted subsets of a build's late iterations.
 
-The oracle's suffix bounds come from one reverse scan instead of the
-kernel. Within a tie group of releases the scan also bounds the jobs from
-each position on, so it may be above the kernel's combined bound of a
+The oracle's suffix bounds come from one suffix scan in ``bounds`` instead
+of the kernel. Within a tie group of releases the scan also bounds the jobs
+from each position on, so it may be above the kernel's combined bound of a
 suffix but never below it, and never above m times the suffix's optimum.
+It must equal the pure-Python reverse scan it replaced, and ``lb_combined``,
+which reads the same scan at each job's first tied position, must equal
+its former body and, under each extreme scenario, the kernel.
 """
 import random
 import sys
@@ -22,8 +25,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robust_sched
-from robust_sched import Instance, Scenario, extreme_scenario, generate, optimal_makespan
-from robust_sched.bounds import scaled_combined_rows
+from robust_sched import (
+    Instance, Scenario, extreme_scenario, generate, lb_combined, optimal_makespan,
+)
+from robust_sched.bounds import scaled_combined_rows, scaled_extreme_bounds
 from robust_sched.datagen import params_for_dataset
 from robust_sched.heuristics import _short_bounds
 from robust_sched.oracle import _release_sorted_jobs, _suffix_scaled_bounds
@@ -31,9 +36,11 @@ from robust_sched.oracle import _release_sorted_jobs, _suffix_scaled_bounds
 from _reference import (
     kernel_extreme_suffix_bounds,
     kernel_suffix_bounds,
+    reference_lb_combined,
     reference_optimal_makespan,
     reference_query_bounds,
     reference_suffix_bounds,
+    scalar_suffix_scan,
 )
 from conftest import random_instance
 
@@ -194,6 +201,10 @@ def scan(inst, scenario, order, fastest=None):
     return _suffix_scaled_bounds(order, scenario.r, fastest, inst.m)
 
 
+def scalar_scan(inst, scenario, order):
+    return scalar_suffix_scan(order, scenario.r, inst.min_proc.tolist(), inst.m)
+
+
 def at_least(bounds, floors):
     return len(bounds) == len(floors) and all(map(int.__ge__, bounds, floors))
 
@@ -206,6 +217,7 @@ def test_suffix_scan_is_at_least_the_per_suffix_loop(data):
         scan(inst, scenario, order),
         reference_suffix_bounds(inst, scenario, order),
     )
+    assert scan(inst, scenario, order) == scalar_scan(inst, scenario, order)
 
 
 @settings(max_examples=100, deadline=None)
@@ -261,12 +273,15 @@ def test_suffix_scan_is_at_least_the_kernel_at_scale(dataset, n, m, seed):
     for j in range(n):
         scenario = extreme_scenario(inst, j)
         order = _release_sorted_jobs(inst, scenario)
-        assert at_least(scan(inst, scenario, order, fastest), kernel[j])
+        bounds = scan(inst, scenario, order, fastest)
+        assert at_least(bounds, kernel[j])
+        assert bounds == scalar_suffix_scan(order, scenario.r, fastest, m)
 
 
 def test_suffix_bounds_near_the_int64_limit():
-    # m * (max hi + sum of slowest times) just below 2**62: the scan works
-    # in Python ints and must stay at or above the int64 reference
+    # m * (max hi + sum of slowest times) just below 2**62: every int64 term
+    # of the scan stays below that, so it must match the Python-int scan
+    # and stay at or above the int64 reference
     big = (2**61 - 3) // 3
     inst = Instance(p=((big, 1, big), (big, 2, 1)),
                     release=((0, big), (big, big), (1, 3)))
@@ -277,6 +292,24 @@ def test_suffix_bounds_near_the_int64_limit():
             scan(inst, scenario, order),
             reference_suffix_bounds(inst, scenario, order),
         )
+        assert scan(inst, scenario, order) == scalar_scan(inst, scenario, order)
+        assert lb_combined(scenario, inst) == reference_lb_combined(scenario, inst)
+
+
+@pytest.mark.parametrize("dataset", ["DS1", "DS2"])
+@pytest.mark.parametrize("n, m, seed", [(500, 5, 7), (2000, 20, 8)])
+def test_lb_combined_matches_its_former_body_and_the_kernel_at_scale(dataset, n, m, seed):
+    inst = generate(params_for_dataset(dataset, n, m), seed)
+    kernel = scaled_extreme_bounds(inst)
+    raised = random.Random(seed).sample(range(n), 25)
+    scenarios = [Scenario(r=inst.release_lo.tolist())]
+    scenarios += [extreme_scenario(inst, j) for j in raised]
+    for scenario in scenarios:
+        got, want = lb_combined(scenario, inst), reference_lb_combined(scenario, inst)
+        assert got == want
+        assert repr(got) == repr(want)  # the same types and per_job order too
+    for j, scenario in zip(raised, scenarios[1:]):
+        assert m * lb_combined(scenario, inst).combined == kernel[j]
 
 
 def test_optimal_makespan_makes_no_kernel_call(monkeypatch):
