@@ -11,7 +11,10 @@ a DP over job subsets instead. The minimax-regret optimum is one more
 makespan problem: under one scenario formed from the extreme optima, every
 schedule's worst-case regret is its makespan less a constant, and a search
 over per-machine sequences returns the first schedule that reaches that
-scenario's optimum. Every search prunes, and no prune changes a result.
+scenario's optimum. That search hands no job set to a machine from which
+one of its jobs cannot end by the optimum, and remembers, per machine and
+set of jobs left, the least completion from which it found no schedule.
+Every search prunes, and no prune changes a result.
 
 Results carry a ``certified`` flag: a search cut short by ``time_budget``
 returns its incumbent flagged ``False``. The budget is the wall clock of the
@@ -447,9 +450,15 @@ def exhaustive_min_regret(
     the lexicographically smallest optimum. A node keeps the current
     machine's completion under r*; a child that finishes past T is cut, and
     on the last machine so is one whose completion plus the remaining jobs'
-    time there exceeds T. Whether machines i onward can finish a job set by
-    T depends only on i and the set, so a failed hand-off is kept in a set
-    for the call and not tried again.
+    time there exceeds T. A hand-off to machine i is skipped while a job
+    left, released at r*, ends past T on every machine from i on. Whether
+    machines i onward can finish a job set by T, from machine i's completion
+    f, depends only on i, the set and f, and a larger f only delays every
+    later completion on machine i. So a node that finds no leaf keeps its f
+    for (i, set) for the call, and a node whose f reaches the kept value is
+    cut: the no-good memo of Ibaraki (1977), "The power of dominance
+    relations in branch-and-bound algorithms". A hand-off starts at f = 0.
+    No cut removes a leaf, so the first leaf and every tie are the same.
 
     The optima, T and the search share one ``limits.time_budget``. If an
     optimum is cut, the clock has run out: the call returns the schedule
@@ -477,20 +486,33 @@ def exhaustive_min_regret(
         return MinRegretResult(fallback, makespan(fallback, star, inst) - least, False)
     target = optimal_makespan(inst, star, limits, deadline=deadline)
     bound, release = target.makespan, star.r
+    # stuck[i]: the jobs that finish past T on every machine from i on
+    stuck = [
+        sum(1 << j for j in range(n)
+            if all(release[j] + p[k][j] > bound for k in range(i, m)))
+        for i in range(m)
+    ]
     machines: list[list[int]] = [[] for _ in range(m)]
-    failed: set[tuple[int, tuple[int, ...]]] = set()
+    # failed[left * m + i]: the least completion of machine i from which no
+    # leaf was found for the jobs of the bit set left on machines i onward
+    failed: dict[int, int] = {}
 
-    def dfs(machine: int, remaining: tuple[int, ...], finish: int, work: int) -> bool:
-        # finish: the current machine's completion under r*; work: the last
-        # machine's total time for the remaining jobs
+    def dfs(
+        machine: int, remaining: tuple[int, ...], left: int, finish: int, work: int
+    ) -> bool:
+        # left: the bit set of remaining; finish: the current machine's
+        # completion under r*; work: the last machine's total time for the
+        # remaining jobs
         deadline.check()
         if not remaining:
             return True
+        key = left * m + machine
+        if failed.get(key, finish + 1) <= finish:
+            return False
         on_last = machine == m - 1
-        if not on_last and (machine + 1, remaining) not in failed:
-            if dfs(machine + 1, remaining, 0, work):
+        if not on_last and not left & stuck[machine + 1]:
+            if dfs(machine + 1, remaining, left, 0, work):
                 return True
-            failed.add((machine + 1, remaining))
         row = p[machine]
         for pick, job in enumerate(remaining):
             done = row[job] + max(finish, release[job])
@@ -498,13 +520,14 @@ def exhaustive_min_regret(
             if done <= bound and (not on_last or done + work_after <= bound):
                 machines[machine].append(job)
                 rest = remaining[:pick] + remaining[pick + 1 :]
-                if dfs(machine, rest, done, work_after):
+                if dfs(machine, rest, left ^ 1 << job, done, work_after):
                     return True
                 machines[machine].pop()
+        failed[key] = finish
         return False
 
     try:
-        dfs(0, tuple(range(n)), 0, sum(last))
+        dfs(0, tuple(range(n)), (1 << n) - 1, 0, sum(last))
     except _BudgetExhausted:
         return MinRegretResult(target.schedule, bound - least, False)
     return MinRegretResult(

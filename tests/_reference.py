@@ -23,6 +23,9 @@ machines, with the start bound, the child prune and the hand-off memo.
 Both score regret scenario by scenario: the references of
 ``exhaustive_min_regret``, which searches for the first makespan-optimal
 schedule under the one scenario r* instead.
+``reference_first_leaf_min_regret`` is that first-leaf search as it stood
+with a set of failed hand-offs alone, before the per-job fit test and the
+finish-dominance memo.
 ``reference_completion_profile`` is the scalar chain loop that
 ``completion_profile`` replaced with the closed form of the chain rule.
 ``reference_release_row_optima`` tries all mⁿ job-to-machine assignments
@@ -78,6 +81,7 @@ from robust_sched.model import (
     ensure_valid_schedule,
     extreme_makespans,
     extreme_scenario,
+    makespan,
     makespans_for_release_rows,
 )
 from robust_sched.oracle import (
@@ -668,6 +672,70 @@ def reference_memo_min_regret(
         schedule=Schedule(machines=best_machines),
         regret=int(best_regret),
         certified=certified,
+    )
+
+
+def reference_first_leaf_min_regret(
+    inst: Instance, limits: OracleLimits = DEFAULT_LIMITS
+) -> MinRegretResult:
+    """The minimax-regret optimum as the first makespan-optimal schedule
+    under r*, found with a set of failed hand-offs alone.
+
+    The same n extreme optima, r*, target T, enumeration order, child cuts
+    and fallbacks as ``exhaustive_min_regret``, but a hand-off is skipped
+    only when the same jobs were handed to the same machine before and no
+    leaf was found: no per-job fit test, and no memo of the completions
+    that failed within a machine.
+    """
+    _check_limits(inst, limits)
+    n, m = inst.n, inst.m
+    p = inst.p
+    last = p[m - 1]
+    deadline = _Deadline(limits.time_budget)
+    optima = [
+        optimal_makespan(inst, extreme_scenario(inst, j), limits, deadline=deadline)
+        for j in range(n)
+    ]
+    least = min(result.makespan for result in optima)
+    star = Scenario(r=tuple(
+        max(lo, hi + least - result.makespan)
+        for (lo, hi), result in zip(inst.release, optima)
+    ))
+    if not all(result.certified for result in optima):
+        fallback = optima[0].schedule
+        return MinRegretResult(fallback, makespan(fallback, star, inst) - least, False)
+    target = optimal_makespan(inst, star, limits, deadline=deadline)
+    bound, release = target.makespan, star.r
+    machines: list[list[int]] = [[] for _ in range(m)]
+    failed: set[tuple[int, tuple[int, ...]]] = set()
+
+    def dfs(machine: int, remaining: tuple[int, ...], finish: int, work: int) -> bool:
+        deadline.check()
+        if not remaining:
+            return True
+        on_last = machine == m - 1
+        if not on_last and (machine + 1, remaining) not in failed:
+            if dfs(machine + 1, remaining, 0, work):
+                return True
+            failed.add((machine + 1, remaining))
+        row = p[machine]
+        for pick, job in enumerate(remaining):
+            done = row[job] + max(finish, release[job])
+            work_after = work - last[job]
+            if done <= bound and (not on_last or done + work_after <= bound):
+                machines[machine].append(job)
+                rest = remaining[:pick] + remaining[pick + 1 :]
+                if dfs(machine, rest, done, work_after):
+                    return True
+                machines[machine].pop()
+        return False
+
+    try:
+        dfs(0, tuple(range(n)), 0, sum(last))
+    except _BudgetExhausted:
+        return MinRegretResult(target.schedule, bound - least, False)
+    return MinRegretResult(
+        Schedule(machines=tuple(map(tuple, machines))), bound - least, target.certified
     )
 
 

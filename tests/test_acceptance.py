@@ -318,17 +318,14 @@ def test_criterion_09_runtime_ordering():
     for fn in (pm, pr, pre):  # warm caches and the allocator before timing
         fn(inst)
 
-    def median_ms(fn):
-        samples = []
-        for _ in range(9):
+    # the three builds alternate, so a noise burst lands on all three
+    samples = {fn: [] for fn in (pm, pr, pre)}
+    for _ in range(9):
+        for fn, times in samples.items():
             t0 = time.perf_counter()
             fn(inst)
-            samples.append((time.perf_counter() - t0) * 1000.0)
-        return statistics.median(samples)
-
-    t_pm = median_ms(pm)
-    t_pr = median_ms(pr)
-    t_pre = median_ms(pre)
+            times.append((time.perf_counter() - t0) * 1000.0)
+    t_pm, t_pr, t_pre = map(statistics.median, samples.values())
     elapsed = time.monotonic() - started
     ratio = t_pre / t_pr
     ok = t_pm < t_pr < t_pre and ratio >= 10 and elapsed < 300

@@ -45,6 +45,7 @@ from robust_sched.oracle import (
 from _reference import (
     extreme_release_matrix,
     reference_exhaustive_min_regret,
+    reference_first_leaf_min_regret,
     reference_memo_min_regret,
     reference_optimal_makespan,
     reference_release_row_optima,
@@ -466,7 +467,8 @@ class TestExhaustiveMinRegret:
         # one completion per scenario with a memo, unbudgeted and with an
         # expired budget: same regret, schedule and flag. The unpruned table
         # search is the slow one, so it checks every n <= 6 case, ten of the
-        # n = 7 ones and one generated n = 8 instance per m
+        # n = 7 ones and one generated n = 8 instance per m; the memo search
+        # checks every case
         def tie_heavy(n: int, m: int) -> Instance:
             # small times, narrow windows: many ties
             p = tuple(tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(m))
@@ -491,7 +493,7 @@ class TestExhaustiveMinRegret:
         expired = OracleLimits(time_budget=0.0)
         eights = [generated[8, m, 0] for m in (2, 3)]
         agree(reference_exhaustive_min_regret, small + seven[:10] + eights)
-        agree(reference_memo_min_regret, seven + list(generated.values()))
+        agree(reference_memo_min_regret, small + seven + list(generated.values()))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("m", (2, 3))
@@ -507,6 +509,42 @@ class TestExhaustiveMinRegret:
             assert exhaustive_min_regret(inst, limits) == (
                 reference_memo_min_regret(inst, limits)
             )
+
+    @pytest.mark.parametrize("m", (2, 3))
+    @pytest.mark.parametrize("n", (9, 10, 11, 12))
+    def test_matches_the_search_with_failed_hand_offs_alone(self, n, m):
+        # past the default limit, generated, tie-heavy and, where the
+        # reference's walk of the other jobs' orderings stays short, with a
+        # dominant job: same regret, schedule and flag, unbudgeted and with
+        # an expired budget
+        rng = random.Random(10 * n + m)
+        cases = [
+            generate(GenParams(n=n, m=m, r_domain_hi=30, segments=2), seed)
+            for seed in range(3)
+        ]
+        cases += [tie_heavy_instance(rng, n, m) for _ in range(3)]
+        if n == 9:
+            cases += [late_dominant_instance(rng, n, m) for _ in range(2)]
+        for inst in cases:
+            for limits in (
+                OracleLimits(max_jobs=n),
+                OracleLimits(max_jobs=n, time_budget=0.0),
+            ):
+                assert exhaustive_min_regret(inst, limits) == (
+                    reference_first_leaf_min_regret(fresh(inst), limits)
+                )
+
+    def test_a_job_that_fits_only_on_machine_0_is_not_handed_off(self, monkeypatch):
+        # T is the dominant job's release plus its time on machine 0, so it
+        # fits by T nowhere else. Without the fit test the search hands all
+        # 20 jobs to machine 3 and walks the orderings of the other 19 there,
+        # for more than 200,000 deadline reads
+        inst = late_dominant_instance(random.Random(2), 20, 4)
+        deadline = _CutAfter(1_000)
+        monkeypatch.setattr(oracle, "_Deadline", lambda budget: deadline)
+        best = exhaustive_min_regret(inst, OracleLimits(max_jobs=20, max_machines=4))
+        assert best.certified
+        assert best.regret == 0
 
     def test_one_machine_matches_brute_force(self, rng):
         # with one machine every node is on the last one and nothing is
@@ -559,6 +597,23 @@ def slow_search_instance() -> Instance:
     for _ in range(n):
         lo = rng.randint(0, 10)
         release.append((lo, lo + rng.randint(0, 40)))
+    return Instance(p=tuple(map(tuple, p)), release=tuple(release))
+
+
+def late_dominant_instance(rng: random.Random, n: int, m: int) -> Instance:
+    """Jobs fastest on machine 0, and a last one released after all of
+    their work can end and fastest only on machine 0: its optimum, and the
+    minimum worst-case regret of 0, needs it there."""
+    p = [[rng.randint(8, 12) for _ in range(n - 1)]]
+    p += [[rng.randint(30, 60) for _ in range(n - 1)] for _ in range(m - 1)]
+    release = []
+    for _ in range(n - 1):
+        lo = rng.randint(0, 10)
+        release.append((lo, lo + rng.randint(0, 40)))
+    top = max(hi for _, hi in release) + sum(max(times) for times in zip(*p))
+    for i, row in enumerate(p):
+        row.append(10 if i == 0 else 40)
+    release.append((top, top + 20))
     return Instance(p=tuple(map(tuple, p)), release=tuple(release))
 
 
