@@ -181,7 +181,7 @@ def _battery(inst, limits: OracleLimits, grid_points: int) -> list[tuple[str, st
         grids = []  # none once a search is cut: spend no more of the budget
         if all(report.certified for report in exact.values()):
             grids = _grid_regrets(list(schedules.values()), inst, rows, left())
-        if grids and grids[0].certified:
+        if grids and all(g.certified for g in grids):
             ok = all(g.value == e.value for g, e in zip(grids, exact.values()))
             results.append(
                 ("pass" if ok else "fail", "extreme-scenario reduction (grid == exact)")

@@ -6,8 +6,9 @@ makespan-optimal order within one machine is by nondecreasing release date
 (adjacent exchange argument), which reduces the deterministic problem to
 choosing each machine's job set. One scenario's optimum comes from a depth
 first search over job-to-machine assignments with an admissible lower-bound
-prune; the optima of a batch of scenario rows, for the grid sweep, come from
-a DP over job subsets instead. The minimax-regret optimum is one more
+prune. The grid sweep scores a dense grid from the extreme optima: they
+bound every row's optimum from below, so only the few rows that bound
+cannot rule out are searched. The minimax-regret optimum is one more
 makespan problem: under one scenario formed from the extreme optima, every
 schedule's worst-case regret is its makespan less a constant, and a search
 over per-machine sequences returns the first schedule that reaches that
@@ -20,8 +21,7 @@ Results carry a ``certified`` flag: a search cut short by ``time_budget``
 returns its incumbent flagged ``False``. The budget is the wall clock of the
 call made: every search inside one ``exact_worst_case_regret``,
 ``grid_regret`` or ``exhaustive_min_regret`` shares one deadline, read
-before each search starts and at every node of both searches, and before
-every row block and every machine merge of the subset DP.
+before each search starts and at every node of both searches.
 
 Every exact score on one instance needs the same extreme-scenario optima,
 so ``optimal_makespan`` keeps each certified result on the instance object,
@@ -47,13 +47,13 @@ from .model import (
     ensure_valid_schedule,
     extreme_makespans,
     extreme_scenario,
+    extreme_scenarios,
+    lower_scenario,
     makespan,
     makespans_for_release_rows,
 )
 
 GRID_SCENARIO_LIMIT = 250_000
-_BLOCK_CELLS = 1 << 15  # values in one temporary of the grid optima's DP
-_ROW_CELLS_LIMIT = 1 << 22  # the most that DP accepts for a single row
 
 
 class LimitExceededError(ValueError):
@@ -61,8 +61,7 @@ class LimitExceededError(ValueError):
 
 
 class _GridTooLargeError(LimitExceededError):
-    """A scenario grid over ``GRID_SCENARIO_LIMIT`` rows, or one whose subset
-    DP needs more than ``_ROW_CELLS_LIMIT`` values for a single row."""
+    """A scenario grid over ``GRID_SCENARIO_LIMIT`` rows."""
 
 
 class _BudgetExhausted(Exception):
@@ -217,108 +216,6 @@ def optimal_makespan(
     return result
 
 
-def _submask_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair of bit sets T ⊆ S over n bits, grouped by S ascending:
-    S∖T and T of each pair, and where each S's run of 2^|S| pairs starts."""
-    sets = np.arange(1 << n)
-    runs = np.ones(1 << n, dtype=np.int64)
-    for bit in range(n):
-        runs <<= (sets >> bit) & 1
-    starts = np.cumsum(runs) - runs
-    owner = np.repeat(sets, runs)
-    rank = np.arange(owner.size) - starts[owner]  # T's index among S's subsets
-    inner = np.zeros_like(owner)
-    for bit in range(n):  # deposit rank's bits on the bits of S, low to high
-        member = (owner >> bit) & 1
-        inner |= (rank & member) << bit
-        rank >>= member
-    return owner ^ inner, inner, starts
-
-
-def _row_cells(n: int, m: int) -> int:
-    """The largest temporary of one row in the subset DP over n jobs and m
-    machines, or ``_GridTooLargeError`` when it passes ``_ROW_CELLS_LIMIT``."""
-    sets = 1 << n
-    cells = max(3**n if m > 2 else sets, m * sets)
-    if m > 1 and cells > _ROW_CELLS_LIMIT:
-        raise _GridTooLargeError(
-            f"the subset DP over {n} jobs and {m} machines needs {cells} "
-            f"values a row, over the limit of {_ROW_CELLS_LIMIT}"
-        )
-    return cells
-
-
-def optimal_makespans_for_release_rows(
-    inst: Instance,
-    release_rows: np.ndarray,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    *,
-    deadline: _Deadline | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Optimal makespan under every scenario row at once, and whether the
-    subset DP finished.
-
-    Under a fixed row a machine runs its jobs in release order, so its
-    completion g_i(T) depends only on its job set T. Each row is
-    release-sorted once and job sets are taken over sorted positions, so
-    every machine's chains of all 2^n sets come from n doubling steps.
-    Machines then merge as ``F_i(S) = min over T ⊆ S of
-    max(g_i(T), F_{i-1}(S∖T))``, one gather over the 3^n pairs (S, T) per
-    middle machine and 2^n pairs for the last, which needs only S = all
-    jobs. Rows go in blocks whose temporaries hold about ``_BLOCK_CELLS``
-    values; a DP too large for one row at a time raises
-    ``LimitExceededError`` up front.
-
-    Every row starts from a feasible value, the best chain of all jobs on
-    one machine, which is the optimum when m = 1. The clock, ``deadline``
-    or else ``limits.time_budget`` from now, is read before every block and
-    every merge; past it, the values so far come back with ``False``.
-    """
-    _check_limits(inst, limits)
-    if deadline is None:
-        deadline = _Deadline(limits.time_budget)
-    release_rows = np.asarray(release_rows, dtype=np.int64)
-    count, n = release_rows.shape
-    if n != inst.n:
-        raise ValueError("scenario rows do not match the job count")
-    m, p = inst.m, inst.p_array
-    sets = 1 << n
-    cells = _row_cells(n, m)
-    order = np.argsort(release_rows, axis=1, kind="stable")
-    rel = np.take_along_axis(release_rows, order, axis=1)
-    alone = np.zeros((m, count), dtype=np.int64)
-    for k in range(n):
-        alone = np.maximum(alone, rel[:, k]) + p[:, order[:, k]]
-    best = alone.min(axis=0)
-    if m == 1:
-        return best, True
-    if m > 2:
-        rest, sub, starts = _submask_pairs(n)
-    width = max(1, _BLOCK_CELLS // cells)
-    for at in range(0, count, width):
-        if deadline.expired():
-            return best, False
-        rows = slice(at, at + width)
-        block_rel, proc = rel[rows], p[:, None, order[rows]]
-        # chains[i, S]: machine i's completion over the sorted positions in S
-        chains = np.zeros((m, sets, len(block_rel)), dtype=np.int64)
-        for k in range(n):
-            low = chains[:, : 1 << k]
-            chains[:, 1 << k : 2 << k] = np.maximum(low, block_rel[:, k]) + proc[..., k]
-        merged = chains[0]
-        for i in range(1, m - 1):
-            if deadline.expired():
-                return best, False
-            pairs = np.take(chains[i], sub, axis=0)
-            np.maximum(pairs, np.take(merged, rest, axis=0), out=pairs)
-            merged = np.minimum.reduceat(pairs, starts, axis=0)
-        if deadline.expired():
-            return best, False
-        # the last machine takes T and the others all S∖T = ~T: merged reversed
-        best[rows] = np.maximum(chains[-1], merged[::-1]).min(axis=0)
-    return best, True
-
-
 def exact_worst_case_regret(
     schedule: Schedule,
     inst: Instance,
@@ -370,12 +267,11 @@ def _grid_points(lo: int, hi: int, grid_points: int) -> list[int]:
 
 def _grid_rows(inst: Instance, grid_points: int, limits: OracleLimits) -> np.ndarray:
     """The grid's scenario rows in ``itertools.product`` order, or the error
-    for a bad ``grid_points``, an instance over ``limits`` or a grid too
-    large for the optima's DP (``_GridTooLargeError``)."""
+    for a bad ``grid_points``, an instance over ``limits`` or a grid over
+    ``GRID_SCENARIO_LIMIT`` rows (``_GridTooLargeError``)."""
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points per interval")
     _check_limits(inst, limits)
-    _row_cells(inst.n, inst.m)
     axes, total = [], 1
     for lo, hi in inst.release:
         axes.append(np.array(_grid_points(lo, hi, grid_points), dtype=np.int64))
@@ -390,15 +286,68 @@ def _grid_rows(inst: Instance, grid_points: int, limits: OracleLimits) -> np.nda
 def _grid_regrets(
     schedules: list[Schedule], inst: Instance, rows: np.ndarray, limits: OracleLimits
 ) -> list[RegretReport]:
-    """Each valid schedule's worst regret over the grid's ``rows``, all scored
-    against one solve of their optima under one ``limits.time_budget``."""
-    optima, certified = optimal_makespans_for_release_rows(inst, rows, limits)
+    """Each valid schedule's worst regret over the grid's ``rows``, at the
+    first row that attains it, under one ``limits.time_budget``.
+
+    With opt_t the optimum of extreme scenario t and opt_lo that of the
+    all-lower one, every row r has opt(r) >= floor(r) = max(opt_lo,
+    max_t (opt_t - hi_t + r_t)): raising releases never lowers the optimum,
+    and delaying one release by d raises it by at most d (delay a whole
+    optimal schedule by d). A schedule's makespan under r is r_k + W_k for
+    some position k, with W_k the work from k to the end of its machine, so
+    its regret at r is at most hi_k + W_k - opt_k, at most its regret under
+    extreme scenario k, a grid corner. So the largest extreme regret is the
+    grid's, and only rows whose makespan less floor reaches it can attain
+    it. They are walked in order, and a row attains it when its makespan
+    less a feasible makespan there reaches it: the optimum kept for a
+    corner, else the least makespan there of the n + 1 optimal schedules in
+    hand, else the row's own ``optimal_makespan``.
+
+    Once the clock runs out, a report is uncertified and scores the extreme
+    scenarios against the optima in hand, each at least the true optimum,
+    so its value is at most the full grid's.
+    """
+    deadline = _Deadline(limits.time_budget)
+    scenarios = [*extreme_scenarios(inst), lower_scenario(inst)]
+    optima = [
+        optimal_makespan(inst, scenario, limits, deadline=deadline)
+        for scenario in scenarios
+    ]
+    certified = all(result.certified for result in optima)
+    # the optima in hand, by release tuple: the grid corners among the rows
+    known = {scenario.r: result.makespan for scenario, result in zip(scenarios, optima)}
+    opts = np.array([result.makespan for result in optima[:-1]], dtype=np.int64)
+    floor = np.maximum((rows + (opts - inst.release_hi)).max(axis=1), optima[-1].makespan)
+    upper = None  # per row, the least makespan of the optimal schedules in hand
     reports = []
     for schedule in schedules:
-        regrets = makespans_for_release_rows(schedule, inst, rows) - optima
-        at = int(np.argmax(regrets))
-        scenario = Scenario(r=tuple(rows[at].tolist()))
-        reports.append(RegretReport(int(regrets[at]), scenario, certified=certified))
+        regrets = extreme_makespans(schedule, inst) - opts
+        value = int(regrets.max())
+        scenario = scenarios[int(np.argmax(regrets))]
+        if certified:
+            spans = makespans_for_release_rows(schedule, inst, rows)
+            for at in np.flatnonzero(spans - floor >= value).tolist():
+                row = tuple(rows[at].tolist())
+                bound = known.get(row)
+                if bound is None:
+                    if upper is None:
+                        upper = np.min([
+                            makespans_for_release_rows(result.schedule, inst, rows)
+                            for result in optima
+                        ], axis=0)
+                    bound = int(upper[at])
+                if spans[at] - bound < value:
+                    solved = optimal_makespan(
+                        inst, Scenario._of(row), limits, deadline=deadline
+                    )
+                    certified = solved.certified
+                    if not certified:
+                        break
+                    bound = solved.makespan
+                if spans[at] - bound >= value:
+                    scenario = Scenario._of(row)
+                    break
+        reports.append(RegretReport(value, scenario, certified=certified))
     return reports
 
 
@@ -411,11 +360,13 @@ def grid_regret(
     """Worst regret over a dense rectangular grid of scenarios.
 
     Each interval is sampled at ``grid_points`` evenly spaced values with both
-    endpoints included, so every extreme scenario is a grid corner. Intended
-    as an independent cross-check of the extreme-scenario reduction. The
-    optima's subset DP stops at ``limits.time_budget``; cut short, the
-    report is uncertified and its value, scored against feasible makespans
-    where a row's optimum is missing, is at most the full grid's.
+    endpoints included, so every extreme scenario is a grid corner. The
+    value is the extreme-scenario reduction's, and the scenario the first
+    grid row that attains it, found by solving only the rows whose optima
+    the extreme optima cannot settle (see ``_grid_regrets``). The searches
+    stop at ``limits.time_budget``; cut short, the report is uncertified and
+    its value, scored against feasible makespans where a row's optimum is
+    missing, is at most the full grid's.
     """
     rows = _grid_rows(inst, grid_points, limits)
     ensure_valid_schedule(schedule, inst)

@@ -28,9 +28,12 @@ with a set of failed hand-offs alone, before the per-job fit test and the
 finish-dominance memo.
 ``reference_completion_profile`` is the scalar chain loop that
 ``completion_profile`` replaced with the closed form of the chain rule.
+``subset_dp_row_optima`` is the DP over job subsets that solved every row
+of the grid sweep, and ``subset_dp_grid_regrets`` the sweep over it: the
+differential references of the grid sweep that searches only the rows the
+extreme optima cannot settle, and, row by row, of ``optimal_makespan``.
 ``reference_release_row_optima`` tries all mⁿ job-to-machine assignments
-over a batch of scenario rows: the reference of the subset DP in
-``optimal_makespans_for_release_rows``.
+over a batch of scenario rows: the reference of that DP.
 
 ``dense_pm`` and ``dense_pr`` are the dense per-iteration rescans that
 ``pm`` and full-mode ``pr`` replaced: the differential references of the
@@ -74,6 +77,7 @@ from robust_sched.heuristics import _short_bounds
 from robust_sched.model import (
     CompletionProfile,
     Instance,
+    RegretReport,
     Scenario,
     Schedule,
     ScheduleViolation,
@@ -86,6 +90,7 @@ from robust_sched.model import (
 )
 from robust_sched.oracle import (
     DEFAULT_LIMITS,
+    LimitExceededError,
     MinRegretResult,
     OptimalMakespan,
     OracleLimits,
@@ -485,6 +490,129 @@ def reference_release_row_optima(
             np.maximum(worst, current, out=worst)
         np.minimum(best, worst, out=best)
     return best, True
+
+
+BLOCK_CELLS = 1 << 15  # values in one temporary of the subset DP
+ROW_CELLS_LIMIT = 1 << 22  # the most the subset DP accepts for a single row
+
+
+def _submask_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of bit sets T ⊆ S over n bits, grouped by S ascending:
+    S∖T and T of each pair, and where each S's run of 2^|S| pairs starts."""
+    sets = np.arange(1 << n)
+    runs = np.ones(1 << n, dtype=np.int64)
+    for bit in range(n):
+        runs <<= (sets >> bit) & 1
+    starts = np.cumsum(runs) - runs
+    owner = np.repeat(sets, runs)
+    rank = np.arange(owner.size) - starts[owner]  # T's index among S's subsets
+    inner = np.zeros_like(owner)
+    for bit in range(n):  # deposit rank's bits on the bits of S, low to high
+        member = (owner >> bit) & 1
+        inner |= (rank & member) << bit
+        rank >>= member
+    return owner ^ inner, inner, starts
+
+
+def _row_cells(n: int, m: int) -> int:
+    """The largest temporary of one row in the subset DP over n jobs and m
+    machines, or ``LimitExceededError`` when it passes ``ROW_CELLS_LIMIT``."""
+    sets = 1 << n
+    cells = max(3**n if m > 2 else sets, m * sets)
+    if m > 1 and cells > ROW_CELLS_LIMIT:
+        raise LimitExceededError(
+            f"the subset DP over {n} jobs and {m} machines needs {cells} "
+            f"values a row, over the limit of {ROW_CELLS_LIMIT}"
+        )
+    return cells
+
+
+def subset_dp_row_optima(
+    inst: Instance,
+    release_rows: np.ndarray,
+    limits: OracleLimits = DEFAULT_LIMITS,
+    *,
+    deadline: _Deadline | None = None,
+) -> tuple[np.ndarray, bool]:
+    """Optimal makespan under every scenario row at once, and whether the
+    subset DP finished: the grid's optima before the grid sweep solved only
+    the rows the extreme optima cannot settle.
+
+    Under a fixed row a machine runs its jobs in release order, so its
+    completion g_i(T) depends only on its job set T. Each row is
+    release-sorted once and job sets are taken over sorted positions, so
+    every machine's chains of all 2^n sets come from n doubling steps.
+    Machines then merge as ``F_i(S) = min over T ⊆ S of
+    max(g_i(T), F_{i-1}(S∖T))``, one gather over the 3^n pairs (S, T) per
+    middle machine and 2^n pairs for the last, which needs only S = all
+    jobs. Rows go in blocks whose temporaries hold about ``BLOCK_CELLS``
+    values; a DP too large for one row at a time raises
+    ``LimitExceededError`` up front.
+
+    Every row starts from a feasible value, the best chain of all jobs on
+    one machine, which is the optimum when m = 1. The clock, ``deadline``
+    or else ``limits.time_budget`` from now, is read before every block and
+    every merge; past it, the values so far come back with ``False``.
+    """
+    _check_limits(inst, limits)
+    if deadline is None:
+        deadline = _Deadline(limits.time_budget)
+    release_rows = np.asarray(release_rows, dtype=np.int64)
+    count, n = release_rows.shape
+    if n != inst.n:
+        raise ValueError("scenario rows do not match the job count")
+    m, p = inst.m, inst.p_array
+    sets = 1 << n
+    cells = _row_cells(n, m)
+    order = np.argsort(release_rows, axis=1, kind="stable")
+    rel = np.take_along_axis(release_rows, order, axis=1)
+    alone = np.zeros((m, count), dtype=np.int64)
+    for k in range(n):
+        alone = np.maximum(alone, rel[:, k]) + p[:, order[:, k]]
+    best = alone.min(axis=0)
+    if m == 1:
+        return best, True
+    if m > 2:
+        rest, sub, starts = _submask_pairs(n)
+    width = max(1, BLOCK_CELLS // cells)
+    for at in range(0, count, width):
+        if deadline.expired():
+            return best, False
+        rows = slice(at, at + width)
+        block_rel, proc = rel[rows], p[:, None, order[rows]]
+        # chains[i, S]: machine i's completion over the sorted positions in S
+        chains = np.zeros((m, sets, len(block_rel)), dtype=np.int64)
+        for k in range(n):
+            low = chains[:, : 1 << k]
+            chains[:, 1 << k : 2 << k] = np.maximum(low, block_rel[:, k]) + proc[..., k]
+        merged = chains[0]
+        for i in range(1, m - 1):
+            if deadline.expired():
+                return best, False
+            pairs = np.take(chains[i], sub, axis=0)
+            np.maximum(pairs, np.take(merged, rest, axis=0), out=pairs)
+            merged = np.minimum.reduceat(pairs, starts, axis=0)
+        if deadline.expired():
+            return best, False
+        # the last machine takes T and the others all S∖T = ~T: merged reversed
+        best[rows] = np.maximum(chains[-1], merged[::-1]).min(axis=0)
+    return best, True
+
+
+def subset_dp_grid_regrets(
+    schedules: list[Schedule], inst: Instance, rows: np.ndarray, limits: OracleLimits
+) -> list[RegretReport]:
+    """Each schedule's worst regret over the grid's ``rows``, at the first
+    row that attains it, against one subset DP over every row: the grid
+    sweep as it stood before it scored the grid from the extreme optima."""
+    optima, certified = subset_dp_row_optima(inst, rows, limits)
+    reports = []
+    for schedule in schedules:
+        regrets = makespans_for_release_rows(schedule, inst, rows) - optima
+        at = int(np.argmax(regrets))
+        scenario = Scenario(r=tuple(rows[at].tolist()))
+        reports.append(RegretReport(int(regrets[at]), scenario, certified=certified))
+    return reports
 
 
 def reference_exhaustive_min_regret(

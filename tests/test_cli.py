@@ -10,7 +10,7 @@ import pytest
 from robust_sched import GenParams, cli, generate, io, oracle
 from robust_sched.cli import _limits, build_parser, main
 from robust_sched.experiments import ExperimentSpec, render_markdown, run_benchmark
-from robust_sched.model import validate_schedule
+from robust_sched.model import extreme_scenarios, lower_scenario, validate_schedule
 from robust_sched.oracle import OracleLimits
 
 from conftest import count_searches
@@ -243,7 +243,7 @@ class TestCheck:
         assert "pass disjoint intervals: pm is optimal" in out
 
     def test_budget_cut_grid_is_skipped_not_failed(self, tmp_path, capsys):
-        # the full 3-point grid at n=7, m=3 takes about a second
+        # a 1 ms budget for the whole battery runs out in its exact searches
         path = tmp_path / "seven.json"
         inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
         io.write_json(path, io.instance_to_dict(inst))
@@ -266,18 +266,17 @@ class TestCheck:
         assert "skip extreme-scenario reduction (grid too large)" in out
         assert "fail" not in out
 
-    def test_grid_whose_dp_cannot_take_one_row_is_skipped(self, tmp_path, capsys):
-        # 2**14 corner rows are within the grid limit, but one row of the
-        # subset DP over 14 jobs and 3 machines needs 3**14 values
+    def test_grid_of_fourteen_jobs_is_scored(self, tmp_path, capsys):
+        # 2**14 corner rows are within the grid limit, and the grid is
+        # scored from the extreme optima at any job count the limits accept
         path = tmp_path / "fourteen.json"
         inst = generate(GenParams(n=14, m=3, r_domain_hi=30, segments=2), 0)
         io.write_json(path, io.instance_to_dict(inst))
         code = run(["check", "--instance", path, "--max-jobs", "14",
                     "--grid-points", "2"])
-        assert (code, capsys.readouterr().out.splitlines()) == (0, [
-            "skip extreme-scenario reduction (grid too large)", *ALL_PASS[1:],
-            *CONDITIONS_NOT_MET,
-        ])
+        assert (code, capsys.readouterr().out.splitlines()) == (
+            0, ALL_PASS + CONDITIONS_NOT_MET
+        )
 
     def test_time_budget_is_the_wall_clock_of_the_command(self, tmp_path, capsys):
         # about 26 oracle calls share the one budget; with a fresh budget
@@ -406,19 +405,6 @@ class TestCheckOutputIsPinned:
                 *CONDITIONS_NOT_MET],
         )
 
-    def test_one_grid_dp_serves_the_battery(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        solve = oracle.optimal_makespans_for_release_rows
-
-        def counted(*args, **kwargs):
-            calls.append(args[1].shape)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "optimal_makespans_for_release_rows", counted)
-        path = self.seven_file(tmp_path)
-        assert self.check(capsys, path, "--grid-points", "3")[0] == 0
-        assert calls == [(3**7, 7)]
-
     @pytest.mark.parametrize("flags", [[], ["--time-budget", "0"]])
     @pytest.mark.parametrize("points", ["1", "0"])
     def test_bad_grid_points_refused_before_any_search(
@@ -436,16 +422,38 @@ class TestCheckOutputIsPinned:
 
 
 def test_check_searches_each_distinct_scenario_once(tmp_path, capsys, monkeypatch):
-    # the battery's exact regrets and its optima list share the optima kept
-    # on the instance: one search per distinct scenario (the n extreme ones
-    # and the lower one), where each call searched again before
+    # the battery's exact regrets, its grid and its optima list share the
+    # optima kept on the instance: one search per distinct scenario (the n
+    # extreme ones, the lower one and the one grid row that the extreme
+    # optima cannot settle), where each call searched again before
     searches = count_searches(monkeypatch)
     path = TestCheckOutputIsPinned.seven_file(tmp_path)
     code = run(["check", "--instance", path, "--grid-points", "3"])
     assert (code, capsys.readouterr().out.splitlines()) == (
         0, ALL_PASS + CONDITIONS_NOT_MET
     )
-    assert len(searches) == len(set(searches)) == 7 + 1
+    assert len(searches) == len(set(searches)) == 7 + 1 + 1
+
+
+@pytest.mark.parametrize("points", ["3", "5"])
+def test_the_battery_grid_solves_few_rows(tmp_path, capsys, monkeypatch, points):
+    # the grid's rows other than the extreme and lower scenarios that
+    # the oracle solves itself, for all six battery schedules: one at 3
+    # and at 5 points, where the subset DP solved all 3**7 or 5**7
+    rows = []
+    solve = oracle.optimal_makespan
+
+    def counted(inst, scenario, *args, **kwargs):
+        rows.append(scenario.r)
+        return solve(inst, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "optimal_makespan", counted)
+    path = TestCheckOutputIsPinned.seven_file(tmp_path)
+    inst = io.read_instance(path)
+    corners = {s.r for s in extreme_scenarios(inst)} | {lower_scenario(inst).r}
+    assert run(["check", "--instance", path, "--grid-points", points]) == 0
+    assert len(rows) > inst.n
+    assert len(set(rows) - corners) <= 3
 
 
 class TestOneParserPerProcess:

@@ -32,23 +32,24 @@ from robust_sched.model import (
     makespan,
 )
 from robust_sched.oracle import (
-    _BLOCK_CELLS,
     DEFAULT_LIMITS,
     _BudgetExhausted,
     _Deadline,
     _grid_points,
     _grid_regrets,
     _grid_rows,
-    optimal_makespans_for_release_rows,
 )
 
 from _reference import (
+    BLOCK_CELLS,
     extreme_release_matrix,
     reference_exhaustive_min_regret,
     reference_first_leaf_min_regret,
     reference_memo_min_regret,
     reference_optimal_makespan,
     reference_release_row_optima,
+    subset_dp_grid_regrets,
+    subset_dp_row_optima,
 )
 from _brute import (
     brute_min_regret,
@@ -131,27 +132,6 @@ class TestOptimalMakespan:
             inst, Scenario(r=tuple(range(8)))
         ).makespan
 
-    def test_batch_matches_single(self, rng):
-        for _ in range(20):
-            inst = random_instance(rng, rng.randint(1, 5), rng.randint(1, 3))
-            rows = extreme_release_matrix(inst)
-            batch, finished = optimal_makespans_for_release_rows(inst, rows)
-            assert finished
-            for j in range(inst.n):
-                single = optimal_makespan(inst, Scenario(r=tuple(rows[j])))
-                assert int(batch[j]) == single.makespan
-
-    def test_batch_honours_the_limits_budget(self):
-        inst = generate(GenParams(n=8, m=3, r_domain_hi=30, segments=2), 0)
-        rows = extreme_release_matrix(inst)
-        cut, finished = optimal_makespans_for_release_rows(
-            inst, rows, OracleLimits(time_budget=0.0)
-        )
-        assert not finished
-        for j in range(inst.n):
-            exact = optimal_makespan(inst, Scenario(r=tuple(rows[j])))
-            assert int(cut[j]) >= exact.makespan
-
 
 def grid_rows(inst, points):
     axes = [_grid_points(lo, hi, points) for lo, hi in inst.release]
@@ -159,11 +139,19 @@ def grid_rows(inst, points):
 
 
 def assert_equals_enumeration(inst, rows):
-    values, finished = optimal_makespans_for_release_rows(inst, rows)
+    """The subset DP equals the assignment enumeration and the search of
+    ``optimal_makespan`` under every row. An optimum depends only on the
+    times and the row, so the search runs on the box the rows span."""
+    values, finished = subset_dp_row_optima(inst, rows)
     expected, _ = reference_release_row_optima(inst, rows)
     assert finished
     assert values.dtype == np.int64
     assert values.tolist() == expected.tolist()
+    spanned = Instance(p=inst.p, release=tuple(zip(rows.min(axis=0).tolist(),
+                                                   rows.max(axis=0).tolist())))
+    searched = [optimal_makespan(spanned, Scenario(r=tuple(row))).makespan
+                for row in rows.tolist()]
+    assert values.tolist() == searched
 
 
 def single_machine_chains(inst, rows, limits=DEFAULT_LIMITS):
@@ -193,7 +181,32 @@ class _CutAfter:
 
 
 class TestReleaseRowOptima:
-    """The subset DP against the assignment enumeration it replaced."""
+    """The subset DP of ``tests/_reference.py``, which solved every row of
+    the grid sweep before it solved only the rows the extreme optima cannot
+    settle, against the assignment enumeration it replaced and against the
+    search of ``optimal_makespan``: two independent solvers for the optima
+    the grid sweep now searches row by row."""
+
+    def test_batch_matches_single(self, rng):
+        for _ in range(20):
+            inst = random_instance(rng, rng.randint(1, 5), rng.randint(1, 3))
+            rows = extreme_release_matrix(inst)
+            batch, finished = subset_dp_row_optima(inst, rows)
+            assert finished
+            for j in range(inst.n):
+                single = optimal_makespan(inst, Scenario(r=tuple(rows[j])))
+                assert int(batch[j]) == single.makespan
+
+    def test_batch_honours_the_limits_budget(self):
+        inst = generate(GenParams(n=8, m=3, r_domain_hi=30, segments=2), 0)
+        rows = extreme_release_matrix(inst)
+        cut, finished = subset_dp_row_optima(
+            inst, rows, OracleLimits(time_budget=0.0)
+        )
+        assert not finished
+        for j in range(inst.n):
+            exact = optimal_makespan(inst, Scenario(r=tuple(rows[j])))
+            assert int(cut[j]) >= exact.makespan
 
     def test_equals_the_enumeration_on_generated_grids(self):
         for n, m in itertools.product(range(1, 9), range(1, 4)):
@@ -229,9 +242,9 @@ class TestReleaseRowOptima:
     def test_rows_are_independent(self, rng):
         inst = generate(GenParams(n=6, m=3, r_domain_hi=30, segments=2), 4)
         rows = grid_rows(inst, 3)
-        values, _ = optimal_makespans_for_release_rows(inst, rows)
+        values, _ = subset_dp_row_optima(inst, rows)
         picks = rng.choices(range(len(rows)), k=2 * len(rows))  # shuffled, repeated
-        again, finished = optimal_makespans_for_release_rows(inst, rows[picks])
+        again, finished = subset_dp_row_optima(inst, rows[picks])
         assert finished
         assert again.tolist() == values[picks].tolist()
 
@@ -239,9 +252,9 @@ class TestReleaseRowOptima:
         for m in (2, 3):
             inst = generate(GenParams(n=8, m=m, r_domain_hi=30, segments=2), 0)
             rows = grid_rows(inst, 3)
-            width = _BLOCK_CELLS // max(3**8 if m > 2 else 2**8, m * 2**8)
+            width = BLOCK_CELLS // max(3**8 if m > 2 else 2**8, m * 2**8)
             assert len(rows) == 3**8 and len(rows) % width
-            values, finished = optimal_makespans_for_release_rows(inst, rows)
+            values, finished = subset_dp_row_optima(inst, rows)
             assert finished
             sample = [*range(0, len(rows), 97), *range(len(rows) - 70, len(rows))]
             expected, _ = reference_release_row_optima(inst, rows[sample])
@@ -251,7 +264,7 @@ class TestReleaseRowOptima:
         for _ in range(10):
             inst = random_instance(rng, rng.randint(1, 7), rng.randint(2, 3))
             rows = grid_rows(inst, 2)
-            values, finished = optimal_makespans_for_release_rows(
+            values, finished = subset_dp_row_optima(
                 inst, rows, OracleLimits(time_budget=0.0)
             )
             assert not finished
@@ -260,11 +273,11 @@ class TestReleaseRowOptima:
     def test_a_cut_between_blocks_stays_above_the_optima(self):
         inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
         rows = grid_rows(inst, 3)
-        exact, _ = optimal_makespans_for_release_rows(inst, rows)
+        exact, _ = subset_dp_row_optima(inst, rows)
         start = single_machine_chains(inst, rows)
         solved = []
         for reads in (0, 1, 2, 3, 4, 5, 60, 300):
-            values, finished = optimal_makespans_for_release_rows(
+            values, finished = subset_dp_row_optima(
                 inst, rows, deadline=_CutAfter(reads)
             )
             assert not finished
@@ -272,7 +285,7 @@ class TestReleaseRowOptima:
             assert (values <= start).all()
             solved.append(int((values == exact).sum()))
         assert solved == sorted(solved) and solved[0] < solved[-1] < len(rows)
-        values, finished = optimal_makespans_for_release_rows(
+        values, finished = subset_dp_row_optima(
             inst, rows, deadline=_CutAfter(10**6)
         )
         assert finished and values.tolist() == exact.tolist()
@@ -284,7 +297,7 @@ class TestReleaseRowOptima:
         rows = grid_rows(inst, 3)
         tracemalloc.start()
         try:
-            optimal_makespans_for_release_rows(inst, rows)
+            subset_dp_row_optima(inst, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -295,9 +308,9 @@ class TestReleaseRowOptima:
         rows = np.array([inst.release_lo])
         limits = OracleLimits(max_jobs=14)
         with pytest.raises(LimitExceededError, match="subset DP"):
-            optimal_makespans_for_release_rows(inst, rows, limits)
+            subset_dp_row_optima(inst, rows, limits)
         alone = random_instance(rng, 14, 1)
-        values, finished = optimal_makespans_for_release_rows(alone, rows, limits)
+        values, finished = subset_dp_row_optima(alone, rows, limits)
         assert finished
         assert values.tolist() == single_machine_chains(alone, rows, limits).tolist()
 
@@ -372,18 +385,21 @@ class TestGridRegret:
             assert grid.value == exact.value
 
     def test_budget_cuts_the_grid_short(self):
-        # the subset DP over 3**7 scenario rows: about 30 ms in full
-        inst = generate(GenParams(n=7, m=3, r_domain_hi=30, segments=2), 0)
+        # the 13 optima the grid starts from take about 0.2 s in all
+        inst = slow_search_instance(12)
+        limits = OracleLimits(max_jobs=12, max_machines=4)
         schedule = pm(inst)
         started = time.perf_counter()
-        cut = grid_regret(schedule, inst, 3, OracleLimits(time_budget=0.001))
+        cut = grid_regret(
+            schedule, inst, 2, OracleLimits(max_jobs=12, max_machines=4, time_budget=0.001)
+        )
         elapsed = time.perf_counter() - started
-        full = grid_regret(schedule, inst, 3)
+        full = grid_regret(schedule, inst, 2, limits)
         assert not cut.certified
         assert elapsed < 0.1
         assert cut.value <= full.value
         assert full.certified
-        assert full.value == exact_worst_case_regret(schedule, inst).value
+        assert full.value == exact_worst_case_regret(schedule, inst, limits).value
 
     def test_needs_two_points(self, hill_instance):
         with pytest.raises(ValueError):
@@ -419,6 +435,92 @@ class TestGridRegretsShareOneGrid:
                 alone.value, alone.scenario, alone.certified
             )
             assert report.certified == (budget is None)
+
+
+
+def wide_instance(rng, n: int, m: int) -> Instance:
+    """Long overlapping release windows: many grid rows that the extreme
+    optima cannot rule out."""
+    p = tuple(tuple(rng.randint(1, 12) for _ in range(n)) for _ in range(m))
+    lows = [rng.randint(0, 10) for _ in range(n)]
+    return Instance(p=p, release=tuple((lo, lo + rng.randint(0, 60)) for lo in lows))
+
+
+def battery_schedules(inst: Instance) -> list[Schedule]:
+    """The six schedules ``check`` scores: pm, pr, pre and three random ones."""
+    return [pm(inst), pr(inst), pre(inst)] + [random_schedule(inst, k) for k in range(3)]
+
+
+def assert_grid_equals_the_subset_dp(inst, points, limits=DEFAULT_LIMITS):
+    """The battery's grid reports equal the subset DP's in value, scenario
+    and certified flag, on a cold copy of the instance."""
+    schedules = battery_schedules(inst)
+    rows = _grid_rows(inst, points, limits)
+    expected = subset_dp_grid_regrets(schedules, inst, rows, limits)
+    reports = _grid_regrets(schedules, fresh(inst), rows, limits)
+    assert [(r.value, r.scenario, r.certified) for r in reports] == [
+        (e.value, e.scenario, e.certified) for e in expected
+    ]
+
+
+class TestLazyGrid:
+    """The grid scored from the extreme optima, solving only the rows they
+    cannot rule out, against the subset DP over every row. The grid stays
+    within ``OracleLimits`` and ``GRID_SCENARIO_LIMIT``, so there is no
+    differential at n >= 500."""
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_equals_the_subset_dp(self, n, m, rng):
+        cases = [generate(GenParams(n=n, m=m, r_domain_hi=30, segments=2), seed)
+                 for seed in range(2)]
+        cases += [tie_heavy_instance(rng, n, m) for _ in range(2)]
+        cases += [wide_instance(rng, n, m) for _ in range(2)]
+        for inst, points in itertools.product(cases, (2, 3, 5)):
+            assert_grid_equals_the_subset_dp(inst, points)
+
+    @pytest.mark.parametrize("n, m", [(9, 2), (9, 3), (10, 2), (10, 3)])
+    def test_equals_the_subset_dp_at_two_points(self, n, m, rng):
+        for inst in (generate(GenParams(n=n, m=m, r_domain_hi=30, segments=2), 0),
+                     tie_heavy_instance(rng, n, m), wide_instance(rng, n, m)):
+            assert_grid_equals_the_subset_dp(inst, 2, OracleLimits(max_jobs=n))
+
+    def test_a_cut_grid_is_uncertified_and_at_most_the_full_grid(self, monkeypatch):
+        # the walk solves interior rows here, so cuts fall in the extreme
+        # optima and in the rows both
+        inst = wide_instance(random.Random(10), 7, 3)
+        schedules = battery_schedules(inst)
+        rows = _grid_rows(inst, 3, DEFAULT_LIMITS)
+        full = _grid_regrets(schedules, fresh(inst), rows, DEFAULT_LIMITS)
+        assert all(report.certified for report in full)
+        corners = {s.r for s in extreme_scenarios(inst)} | {lower_scenario(inst).r}
+
+        def cut_call(reads: int):
+            deadline = _CutAfter(reads)
+            cut = fresh(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_Deadline", lambda budget: deadline)
+                reports = _grid_regrets(schedules, cut, rows, DEFAULT_LIMITS)
+            return reports, deadline.reads, set(vars(cut)["_optima"])
+
+        _, left, kept = cut_call(10**9)
+        used = 10**9 - left
+        assert kept > corners  # rows besides the corners were solved
+        in_rows = 0
+        for reads in [*range(0, used, max(1, used // 150)), used - 1]:
+            reports, _, kept = cut_call(reads)
+            assert not all(report.certified for report in reports)
+            in_walk = corners <= kept  # cut after the optima, in the rows
+            for report, whole in zip(reports, full):
+                if report.certified:
+                    assert report == whole
+                else:
+                    assert report.value <= whole.value
+                if in_walk:  # scored against the true optima
+                    assert report.value == whole.value
+            in_rows += in_walk
+        assert in_rows > 0
+        assert cut_call(used)[0] == full
 
 
 class TestExhaustiveMinRegret:
@@ -586,11 +688,12 @@ class TestExhaustiveMinRegret:
         assert (best.regret, best.schedule.machines) == (regret, smallest)
 
 
-def slow_search_instance() -> Instance:
-    """Jobs fastest on machine 0 with overlapping releases: the combined
-    bound is weak, so the search of every extreme scenario runs long."""
+def slow_search_instance(n: int = 16) -> Instance:
+    """Jobs fastest on machine 0 with overlapping releases on 4 machines:
+    the combined bound is weak, so the search of every extreme scenario
+    runs long. At n = 16 each one took 0.5 s or more."""
     rng = random.Random(1)
-    n, m = 15, 4
+    m = 4
     p = [[rng.randint(8, 12) for _ in range(n)]]
     p += [[rng.randint(30, 60) for _ in range(n)] for _ in range(m - 1)]
     release = []
@@ -622,8 +725,9 @@ class TestTimeBudget:
 
     def test_budget_is_the_wall_clock_of_the_call(self):
         inst = slow_search_instance()
-        limits = OracleLimits(max_jobs=15, max_machines=4, time_budget=self.BUDGET)
-        # each extreme scenario's search alone outlasts the budget
+        limits = OracleLimits(max_jobs=16, max_machines=4, time_budget=self.BUDGET)
+        # each extreme scenario's search alone outlasts the budget about
+        # ten times over
         started = time.perf_counter()
         for j in range(inst.n):
             alone = optimal_makespan(inst, extreme_scenario(inst, j), limits)
