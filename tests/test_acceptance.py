@@ -46,7 +46,9 @@ from robust_sched import (
 )
 from robust_sched import io
 from robust_sched.experiments import ExperimentSpec, run_benchmark
+from robust_sched.oracle import DEFAULT_LIMITS, _grid_rows
 
+from _reference import subset_dp_grid_regrets
 from conftest import random_instance, random_valid_schedule
 from test_heuristics import (
     disjoint_instance,
@@ -79,13 +81,19 @@ def test_criterion_01_extreme_scenario_reduction(theorem_corpus):
     started = time.monotonic()
     checked = 0
     for inst, schedules in theorem_corpus:
-        for schedule in schedules:
-            dense = grid_regret(schedule, inst, 5)
+        # the dense grid scored against a subset DP over every row, which
+        # uses nothing of the extreme scenarios; grid_regret, which derives
+        # its value from them, must report the same value and row
+        rows = _grid_rows(inst, 5, DEFAULT_LIMITS)
+        swept = subset_dp_grid_regrets(schedules, inst, rows, DEFAULT_LIMITS)
+        for schedule, dense in zip(schedules, swept):
             exact = exact_worst_case_regret(schedule, inst)
             assert dense.value == exact.value, (
                 f"grid sweep {dense.value} != extreme sweep {exact.value} "
                 f"on {inst}"
             )
+            lazy = grid_regret(schedule, inst, 5)
+            assert (lazy.value, lazy.scenario) == (dense.value, dense.scenario)
             checked += 1
     elapsed = time.monotonic() - started
     ok = elapsed < 600

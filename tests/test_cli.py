@@ -7,10 +7,10 @@ import time
 
 import pytest
 
-from robust_sched import GenParams, cli, generate, io, oracle
+from robust_sched import GenParams, cli, generate, io
 from robust_sched.cli import _limits, build_parser, main
 from robust_sched.experiments import ExperimentSpec, render_markdown, run_benchmark
-from robust_sched.model import extreme_scenarios, lower_scenario, validate_schedule
+from robust_sched.model import validate_schedule
 from robust_sched.oracle import OracleLimits
 
 from conftest import count_searches
@@ -421,39 +421,20 @@ class TestCheckOutputIsPinned:
         assert json.loads(captured.err)["error"] == "ValueError"
 
 
-def test_check_searches_each_distinct_scenario_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("points", ["3", "5"])
+def test_check_searches_each_distinct_scenario_once(tmp_path, capsys, monkeypatch, points):
     # the battery's exact regrets, its grid and its optima list share the
     # optima kept on the instance: one search per distinct scenario (the n
     # extreme ones, the lower one and the one grid row that the extreme
-    # optima cannot settle), where each call searched again before
+    # optima cannot settle, at 3 and at 5 points, where the subset DP
+    # solved all 3**7 or 5**7 rows), where each call searched again before
     searches = count_searches(monkeypatch)
     path = TestCheckOutputIsPinned.seven_file(tmp_path)
-    code = run(["check", "--instance", path, "--grid-points", "3"])
+    code = run(["check", "--instance", path, "--grid-points", points])
     assert (code, capsys.readouterr().out.splitlines()) == (
         0, ALL_PASS + CONDITIONS_NOT_MET
     )
     assert len(searches) == len(set(searches)) == 7 + 1 + 1
-
-
-@pytest.mark.parametrize("points", ["3", "5"])
-def test_the_battery_grid_solves_few_rows(tmp_path, capsys, monkeypatch, points):
-    # the grid's rows other than the extreme and lower scenarios that
-    # the oracle solves itself, for all six battery schedules: one at 3
-    # and at 5 points, where the subset DP solved all 3**7 or 5**7
-    rows = []
-    solve = oracle.optimal_makespan
-
-    def counted(inst, scenario, *args, **kwargs):
-        rows.append(scenario.r)
-        return solve(inst, scenario, *args, **kwargs)
-
-    monkeypatch.setattr(oracle, "optimal_makespan", counted)
-    path = TestCheckOutputIsPinned.seven_file(tmp_path)
-    inst = io.read_instance(path)
-    corners = {s.r for s in extreme_scenarios(inst)} | {lower_scenario(inst).r}
-    assert run(["check", "--instance", path, "--grid-points", points]) == 0
-    assert len(rows) > inst.n
-    assert len(set(rows) - corners) <= 3
 
 
 class TestOneParserPerProcess:

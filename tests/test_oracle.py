@@ -358,20 +358,29 @@ class TestGridRegret:
         assert _grid_points(3, 3, 7) == [3]
         assert _grid_points(0, 2, 5) == [0, 1, 2]
 
+    @staticmethod
+    def assert_dense_sweep_equals_extreme_sweep(schedule, inst, points):
+        """The subset DP over every grid row, which uses nothing of the
+        extreme scenarios, attains the extreme sweep's value, and
+        ``grid_regret``, which derives its value from them, reports that
+        value at the same row."""
+        rows = _grid_rows(inst, points, DEFAULT_LIMITS)
+        [dense] = subset_dp_grid_regrets([schedule], inst, rows, DEFAULT_LIMITS)
+        exact = exact_worst_case_regret(schedule, inst)
+        assert dense.value == exact.value
+        grid = grid_regret(schedule, inst, points)
+        assert (grid.value, grid.scenario) == (dense.value, dense.scenario)
+
     def test_deterministic_instance_single_point(self):
         inst = Instance(p=((4, 2),), release=((1, 1), (2, 2)))
         schedule = Schedule(machines=((0, 1),))
-        grid = grid_regret(schedule, inst, 5)
-        exact = exact_worst_case_regret(schedule, inst)
-        assert grid.value == exact.value
+        self.assert_dense_sweep_equals_extreme_sweep(schedule, inst, 5)
 
     def test_equals_extreme_sweep(self, rng):
         for _ in range(15):
             inst = random_instance(rng, rng.randint(1, 4), rng.randint(1, 2))
             schedule = random_valid_schedule(rng, inst)
-            grid = grid_regret(schedule, inst, 5)
-            exact = exact_worst_case_regret(schedule, inst)
-            assert grid.value == exact.value
+            self.assert_dense_sweep_equals_extreme_sweep(schedule, inst, 5)
 
     def test_equals_extreme_sweep_on_dense_grids(self, rng):
         # 11 points per interval; includes one full-size (n=5) sweep
@@ -380,9 +389,7 @@ class TestGridRegret:
         for n, m in sizes:
             inst = random_instance(rng, n, m)
             schedule = random_valid_schedule(rng, inst)
-            grid = grid_regret(schedule, inst, 11)
-            exact = exact_worst_case_regret(schedule, inst)
-            assert grid.value == exact.value
+            self.assert_dense_sweep_equals_extreme_sweep(schedule, inst, 11)
 
     def test_budget_cuts_the_grid_short(self):
         # the 13 optima the grid starts from take about 0.2 s in all
