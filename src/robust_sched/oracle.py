@@ -26,7 +26,9 @@ before each search starts and at every node of both searches.
 Every exact score on one instance needs the same extreme-scenario optima,
 so ``optimal_makespan`` keeps each certified result on the instance object,
 keyed by the release tuple, and reads it only before the call's deadline;
-an uncertified result is never kept.
+an uncertified result is never kept. The exact regret, the grid and the
+minimax search read the extreme optima as one family, kept beside them by
+job, without building or checking a scenario per job.
 """
 from __future__ import annotations
 
@@ -216,6 +218,28 @@ def optimal_makespan(
     return result
 
 
+def _extreme_optima(
+    inst: Instance, jobs: range | list[int], limits: OracleLimits, deadline: _Deadline
+) -> list[OptimalMakespan]:
+    """The optimum of extreme scenario j for each j of ``jobs``, j = n being
+    the all-lower scenario. The certified ones are kept on the instance as
+    one family by job, the objects ``optimal_makespan`` keeps by release;
+    while the clock runs and all asked for are kept, they are read from it
+    with no scenario built, and otherwise each comes from a call to it."""
+    family = vars(inst).get("_extreme_optima")
+    if family is None:
+        family = vars(inst)["_extreme_optima"] = [None] * (inst.n + 1)
+    found = [family[j] for j in jobs]
+    if None not in found and not deadline.expired():
+        return found
+    for at, j in enumerate(jobs):
+        scenario = lower_scenario(inst) if j == inst.n else extreme_scenario(inst, j)
+        found[at] = optimal_makespan(inst, scenario, limits, deadline=deadline)
+        if found[at].certified:
+            family[j] = found[at]
+    return found
+
+
 def exact_worst_case_regret(
     schedule: Schedule,
     inst: Instance,
@@ -237,14 +261,9 @@ def exact_worst_case_regret(
     jobs = range(inst.n)
     if effective_only:
         jobs = np.flatnonzero(~covered_mask(schedule, inst)).tolist()
-    per_scenario: dict[int, int] = {}
-    certified = True
-    for j in jobs:
-        opt = optimal_makespan(
-            inst, extreme_scenario(inst, j), limits, deadline=deadline
-        )
-        certified = certified and opt.certified
-        per_scenario[j] = values[j] - opt.makespan
+    optima = _extreme_optima(inst, jobs, limits, deadline)
+    per_scenario = {j: values[j] - opt.makespan for j, opt in zip(jobs, optima)}
+    certified = all(opt.certified for opt in optima)
     best_job = max(per_scenario, key=lambda j: (per_scenario[j], -j))
     return RegretReport(
         value=per_scenario[best_job],
@@ -308,11 +327,8 @@ def _grid_regrets(
     so its value is at most the full grid's.
     """
     deadline = _Deadline(limits.time_budget)
+    optima = _extreme_optima(inst, range(inst.n + 1), limits, deadline)
     scenarios = [*extreme_scenarios(inst), lower_scenario(inst)]
-    optima = [
-        optimal_makespan(inst, scenario, limits, deadline=deadline)
-        for scenario in scenarios
-    ]
     certified = all(result.certified for result in optima)
     # the optima in hand, by release tuple: the grid corners among the rows
     known = {scenario.r: result.makespan for scenario, result in zip(scenarios, optima)}
@@ -423,10 +439,7 @@ def exhaustive_min_regret(
     p = inst.p
     last = p[m - 1]
     deadline = _Deadline(limits.time_budget)
-    optima = [
-        optimal_makespan(inst, extreme_scenario(inst, j), limits, deadline=deadline)
-        for j in range(n)
-    ]
+    optima = _extreme_optima(inst, range(n), limits, deadline)
     least = min(result.makespan for result in optima)
     star = Scenario(r=tuple(
         max(lo, hi + least - result.makespan)

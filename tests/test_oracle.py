@@ -26,6 +26,7 @@ from robust_sched import (
 )
 from robust_sched import oracle
 from robust_sched.model import (
+    covered_mask,
     extreme_scenario,
     extreme_scenarios,
     lower_scenario,
@@ -820,6 +821,46 @@ def star_release(inst: Instance, opts: list[int]) -> tuple[int, ...]:
     return tuple(max(lo, hi + least - opt) for (lo, hi), opt in zip(inst.release, opts))
 
 
+def count_calls(monkeypatch) -> list:
+    """The release tuple of every ``optimal_makespan`` call from now on,
+    whether it searches or returns a kept result."""
+    calls = []
+    solve = oracle.optimal_makespan
+
+    def counted(inst, scenario, *args, **kwargs):
+        calls.append(scenario.r)
+        return solve(inst, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "optimal_makespan", counted)
+    return calls
+
+
+def family_queries(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> dict:
+    """The exact scores that read the extreme optima as one family, each a
+    function of the instance object, by the family indices each reads: job
+    j for extreme scenario j, and n for the all-lower scenario."""
+    schedules = desk_schedules(inst)
+    effective = [
+        (lambda i, s=s: exact_worst_case_regret(s, i, limits),
+         np.flatnonzero(~covered_mask(s, inst)).tolist())
+        for s in schedules
+    ]
+    every_job = list(range(inst.n))
+    return {
+        "effective": effective,
+        "exact": [
+            (lambda i, s=s: exact_worst_case_regret(s, i, limits, effective_only=False),
+             every_job)
+            for s in schedules
+        ],
+        "grid": [
+            (lambda i, s=s: grid_regret(s, i, 2, limits), every_job + [inst.n])
+            for s in schedules
+        ],
+        "exhaustive": [(lambda i: exhaustive_min_regret(i, limits), every_job)],
+    }
+
+
 class TestKeptOptima:
     """``optimal_makespan`` keeps each certified result on the instance
     object, read by a later call while its clock has not run out."""
@@ -891,6 +932,68 @@ class TestKeptOptima:
         vars(inst)["_optima"][outside.r] = vars(inst)["_optima"][scenario.r]
         with pytest.raises(ValueError):
             optimal_makespan(inst, outside)
+
+    def test_a_warm_score_reads_the_family_without_a_call(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch)
+        for inst in desk_cases(rng):
+            scenarios = [*extreme_scenarios(inst), lower_scenario(inst)]
+            corners = {scenario.r for scenario in scenarios}
+            queries = family_queries(inst)
+            for kind in queries.values():
+                for query, _ in kind:
+                    query(inst)
+            family = vars(inst)["_extreme_optima"]
+            kept = vars(inst)["_optima"]
+            assert all(
+                result is kept[scenario.r] for result, scenario in zip(family, scenarios)
+            )
+            opts = [result.makespan for result in family[:-1]]
+            for name, kind in queries.items():
+                for query, _ in kind:
+                    calls.clear()
+                    warm = query(inst)
+                    if name == "exhaustive":  # the optimum under r*, kept by release
+                        assert calls == [star_release(inst, opts)]
+                    elif name == "grid":  # it may solve a row, never a corner
+                        assert not corners & set(calls)
+                    else:
+                        assert not calls
+                    assert warm == query(fresh(inst))
+
+    def test_a_partial_family_scores_as_a_fresh_instance(self, rng):
+        unlimited = _Deadline(None)
+        for inst in desk_cases(rng):
+            for kind in family_queries(inst).values():
+                for query, reads in kind:
+                    partial = fresh(inst)
+                    some = rng.sample(range(inst.n + 1), rng.randint(1, inst.n))
+                    oracle._extreme_optima(partial, some, DEFAULT_LIMITS, unlimited)
+                    # kept by release only, not in the family
+                    for j in rng.sample(range(inst.n), rng.randint(0, inst.n)):
+                        optimal_makespan(partial, extreme_scenario(inst, j))
+                    assert query(partial) == query(fresh(inst))
+                    family = vars(partial)["_extreme_optima"]
+                    assert all(family[j] is not None for j in reads)
+                    assert all(family[j] is not None for j in some)
+
+    def test_a_warm_grid_is_not_read_past_the_deadline(self, rng, monkeypatch):
+        expired = OracleLimits(time_budget=0.0)
+        for inst in desk_cases(rng):
+            schedule = random_valid_schedule(rng, inst)
+            grid_regret(schedule, inst, 2)
+            assert None not in vars(inst)["_extreme_optima"]
+            warm = grid_regret(schedule, inst, 2, expired)
+            assert not warm.certified
+            assert warm == grid_regret(schedule, fresh(inst), 2, expired)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_Deadline", lambda budget: _CutAfter(0))
+                for kind in family_queries(inst).values():
+                    for query, _ in kind:
+                        cut = fresh(inst)
+                        warm, cold = query(inst), query(cut)
+                        assert not warm.certified
+                        assert warm == cold
+                        assert vars(cut)["_extreme_optima"] == [None] * (inst.n + 1)
 
 
 class TestExtremeRegretIdentity:
